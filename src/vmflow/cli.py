@@ -29,7 +29,7 @@ from .metrics import MetricError, conditional_metrics, cosine_sim
 from .optim import Adam, NonFiniteGradError
 from .rng import make_rng
 from .sampling import SampleError, sample_batch
-from .tensor import Tensor
+from .tensor import ShapeError, Tensor, parameter
 from .training import TrainError, dims_for, train_model
 
 _SAMPLE_SEED_OFFSET = 100003  # keeps the sampling stream off the training one
@@ -85,9 +85,10 @@ def _checkpoint_tensors(params: dict[str, Tensor], opt: Adam,
 
 
 def load_params(path) -> tuple[dict[str, Tensor], dict[str, np.ndarray], int]:
-    """Checkpoint -> (params, optimizer tensors, epoch)."""
+    """Checkpoint -> (params, optimizer tensors, epoch). The parameters take
+    gradients, so a resumed run trains them; sampling detaches them."""
     raw = load_checkpoint(path)
-    params = {k[len("param/"):]: Tensor(v) for k, v in raw.items()
+    params = {k[len("param/"):]: parameter(v) for k, v in raw.items()
               if k.startswith("param/")}
     if not params:
         raise CheckpointError(f"{path}: no parameters in checkpoint")
@@ -383,7 +384,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 _INVARIANT_ERRORS = (ConfigError, MaskError, TrainError, SampleError,
                      DatasetError, MetricError, GrangerError,
-                     CheckpointError, NonFiniteGradError)
+                     CheckpointError, NonFiniteGradError, ShapeError)
 
 
 def _exit_code(exc: BaseException) -> int:

@@ -1,4 +1,9 @@
-"""Adam with bias correction, applied in place to parameter tensors."""
+"""Adam with bias correction, applied in place to parameter tensors.
+
+Adam is elementwise, so `Adam.step` updates every parameter that has a
+gradient in one vectorized pass over the concatenated gradients, moments
+and values; each tensor comes out bitwise as `adam_update` would leave it.
+"""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -25,18 +30,24 @@ class AdamState:
     v: np.ndarray
 
 
+def _adam_arrays(p, g, m, v, step, lr, beta1, beta2, eps):
+    """(new value, new m, new v) of one Adam step, elementwise in f32."""
+    b1, b2 = _F32(beta1), _F32(beta2)
+    m = b1 * m + (_F32(1.0) - b1) * g
+    v = b2 * v + (_F32(1.0) - b2) * (g * g)
+    mhat = m / _F32(1.0 - beta1 ** step)
+    vhat = v / _F32(1.0 - beta2 ** step)
+    return p - _F32(lr) * mhat / (np.sqrt(vhat) + _F32(eps)), m, v
+
+
 def adam_update(param: Tensor, grad: np.ndarray, state: AdamState, step: int,
                 lr: float = 1e-3, beta1: float = 0.9, beta2: float = 0.999,
                 eps: float = 1e-8, name: str = "?"):
     """One Adam step. `step` is 1-based so bias correction is exact."""
     if not np.all(np.isfinite(grad)):
         raise NonFiniteGradError(name)
-    b1, b2 = _F32(beta1), _F32(beta2)
-    state.m = b1 * state.m + (_F32(1.0) - b1) * grad
-    state.v = b2 * state.v + (_F32(1.0) - b2) * (grad * grad)
-    mhat = state.m / _F32(1.0 - beta1 ** step)
-    vhat = state.v / _F32(1.0 - beta2 ** step)
-    param.data = param.data - _F32(lr) * mhat / (np.sqrt(vhat) + _F32(eps))
+    param.data, state.m, state.v = _adam_arrays(param.data, grad, state.m, state.v,
+                                                step, lr, beta1, beta2, eps)
 
 
 class Adam:
@@ -54,13 +65,25 @@ class Adam:
                       for k, p in params.items()}
 
     def step(self):
+        """Update every parameter with a gradient; a non-finite gradient
+        raises, naming its parameter, before anything is updated."""
         self.step_count += 1
-        for name, p in self.params.items():
-            if p.grad is None:
-                continue
-            adam_update(p, p.grad, self.state[name], self.step_count,
-                        lr=self.lr, beta1=self.beta1, beta2=self.beta2,
-                        eps=self.eps, name=name)
+        live = [(name, p, self.state[name]) for name, p in self.params.items()
+                if p.grad is not None]
+        if not live:
+            return
+        grad = np.concatenate([p.grad.ravel() for _, p, _ in live])
+        if not np.all(np.isfinite(grad)):
+            raise NonFiniteGradError(next(name for name, p, _ in live
+                                          if not np.all(np.isfinite(p.grad))))
+        flat = _adam_arrays(np.concatenate([p.data.ravel() for _, p, _ in live]), grad,
+                            np.concatenate([st.m.ravel() for _, _, st in live]),
+                            np.concatenate([st.v.ravel() for _, _, st in live]),
+                            self.step_count, self.lr, self.beta1, self.beta2, self.eps)
+        end = 0
+        for _, p, st in live:
+            start, end, shape = end, end + p.data.size, p.data.shape
+            p.data, st.m, st.v = (a[start:end].reshape(shape) for a in flat)
 
     def zero_grad(self):
         for p in self.params.values():

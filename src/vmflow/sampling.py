@@ -16,7 +16,7 @@ import numpy as np
 from .mask import single_group_mask
 from .model import ModelDims, theta_forward
 from .rng import normal_f32
-from .tensor import Tensor
+from .tensor import Tensor, detach
 
 _F32 = np.float32
 
@@ -36,7 +36,10 @@ class ModelField:
 
     h is fixed at construction (one prior draw per trajectory, reused by
     every evaluation including unconditional guidance passes). Each call
-    counts one function evaluation.
+    counts one function evaluation. Each call runs the transformer on
+    constant views of the parameters' current values, so it records no
+    graph even when the parameters take gradients, as those `train_model`
+    returns do.
     """
 
     def __init__(self, params: dict[str, Tensor], dims: ModelDims,
@@ -57,7 +60,8 @@ class ModelField:
         if key not in self._masks:
             self._masks[key] = single_group_mask(z.shape[1], c.shape[1],
                                                  self.dims.latent_tokens)
-        u = theta_forward(self.params, self.dims, Tensor(c), self.h, None,
+        consts = {k: detach(p) for k, p in self.params.items()}
+        u = theta_forward(consts, self.dims, Tensor(c), self.h, None,
                           Tensor(z), self._masks[key], t, r)
         self.calls += 1
         if not np.all(np.isfinite(u.data)):

@@ -7,8 +7,16 @@ buffer on each Tensor, so a single evaluation of a network yields both
 u and du/dt without a second pass. Arrays are numpy float32 throughout;
 tensors are treated as immutable once created (the optimizer rebinds
 `.data` between steps, never mid-graph).
+
+`linear`, `layer_norm`, `gelu` and `softmax` are single fused nodes. Each
+runs the numpy float operations of its composite form (built from the
+primitives above it) in the same order, and returns its input gradients
+as the separate contributions the composite's nodes would make, so that
+results are bitwise those of the composite in any graph.
 """
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -31,10 +39,7 @@ class ShapeError(ValueError):
 
 
 def _as_f32(x) -> np.ndarray:
-    arr = np.asarray(x, dtype=_F32)
-    if not np.issubdtype(arr.dtype, np.floating):
-        raise ShapeError("tensor", f"cannot coerce dtype {arr.dtype} to float32")
-    return arr
+    return np.asarray(x, dtype=_F32)
 
 
 class Tensor:
@@ -42,7 +47,13 @@ class Tensor:
     __array_ufunc__ = None  # ndarray op Tensor defers to our reflected methods
 
     def __init__(self, data, tangent=None, requires_grad: bool = False):
-        self.data = _as_f32(data)
+        # np.asarray would return an f32 array as it is; skipping the call
+        # keeps node construction cheap. Numpy scalars from 0-d reductions
+        # and everything else are coerced.
+        if type(data) is np.ndarray and data.dtype == _F32:
+            self.data = data
+        else:
+            self.data = _as_f32(data)
         self.tangent = None if tangent is None else _as_f32(tangent)
         if self.tangent is not None and self.tangent.shape != self.data.shape:
             raise ShapeError("tensor", f"tangent shape {self.tangent.shape} != data shape {self.data.shape}")
@@ -133,54 +144,75 @@ def _unbroadcast(g: np.ndarray, shape: tuple, keep_last: int = 0) -> np.ndarray:
     return g
 
 
-def _check_broadcast(op: str, a: Tensor, b: Tensor):
-    try:
-        np.broadcast_shapes(a.shape, b.shape)
-    except ValueError:
-        raise ShapeError(op, f"shapes {a.shape} and {b.shape} do not broadcast") from None
+def _broadcast_error(op: str, a: Tensor, b: Tensor) -> ShapeError:
+    return ShapeError(op, f"shapes {a.shape} and {b.shape} do not broadcast")
+
+
+_ZERO = _F32(0.0)
+_ONE = _F32(1.0)
+_TWO = _F32(2.0)
+
+
+def _add_tangent(shape, ta, tb):
+    """The tangent of a + b: zeros of the output shape plus each tangent
+    present. 0 + t is t + 0, so a full-shape first tangent skips the zeros."""
+    if ta is None and tb is None:
+        return None
+    if ta is not None and ta.shape == shape:
+        tan = ta + _ZERO
+    else:
+        tan = np.zeros(shape, dtype=_F32)
+        if ta is not None:
+            tan = tan + ta
+    if tb is not None:
+        tan = tan + tb
+    return tan
 
 
 # ---------------------------------------------------------------------------
-# elementwise arithmetic
+# elementwise arithmetic (a VJP skips the parents that take no gradient)
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    _check_broadcast("add", a, b)
-    ta, tb = a.tangent, b.tangent
-    if ta is None and tb is None:
-        tan = None
-    else:
-        tan = np.broadcast_to(_F32(0.0), np.broadcast_shapes(a.shape, b.shape)).copy()
-        if ta is not None:
-            tan = tan + ta
-        if tb is not None:
-            tan = tan + tb
+    try:
+        data = a.data + b.data
+    except ValueError:
+        raise _broadcast_error("add", a, b) from None
+    tan = _add_tangent(data.shape, a.tangent, b.tangent)
 
     def vjp(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+        return (_unbroadcast(g, a.shape) if a.requires_grad else None,
+                _unbroadcast(g, b.shape) if b.requires_grad else None)
 
-    return _make(a.data + b.data, (a, b), tan, vjp)
+    return _make(data, (a, b), tan, vjp)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    _check_broadcast("sub", a, b)
+    try:
+        data = a.data - b.data
+    except ValueError:
+        raise _broadcast_error("sub", a, b) from None
     ta, tb = a.tangent, b.tangent
     if ta is None and tb is None:
         tan = None
     elif tb is None:
-        tan = np.broadcast_to(ta, np.broadcast_shapes(a.shape, b.shape)).astype(_F32)
+        tan = np.broadcast_to(ta, data.shape).astype(_F32)
     elif ta is None:
-        tan = -np.broadcast_to(tb, np.broadcast_shapes(a.shape, b.shape)).astype(_F32)
+        tan = -np.broadcast_to(tb, data.shape).astype(_F32)
     else:
         tan = ta - tb
 
     def vjp(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
+        return (_unbroadcast(g, a.shape) if a.requires_grad else None,
+                _unbroadcast(-g, b.shape) if b.requires_grad else None)
 
-    return _make(a.data - b.data, (a, b), tan, vjp)
+    return _make(data, (a, b), tan, vjp)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    _check_broadcast("mul", a, b)
+    try:
+        data = a.data * b.data
+    except ValueError:
+        raise _broadcast_error("mul", a, b) from None
     ta, tb = a.tangent, b.tangent
     tan = None
     if ta is not None:
@@ -190,13 +222,17 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         tan = part if tan is None else tan + part
 
     def vjp(g):
-        return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
+        return (_unbroadcast(g * b.data, a.shape) if a.requires_grad else None,
+                _unbroadcast(g * a.data, b.shape) if b.requires_grad else None)
 
-    return _make(a.data * b.data, (a, b), tan, vjp)
+    return _make(data, (a, b), tan, vjp)
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
-    _check_broadcast("div", a, b)
+    try:
+        data = a.data / b.data
+    except ValueError:
+        raise _broadcast_error("div", a, b) from None
     ta, tb = a.tangent, b.tangent
     tan = None
     if ta is not None:
@@ -206,25 +242,28 @@ def div(a: Tensor, b: Tensor) -> Tensor:
         tan = -part if tan is None else tan - part
 
     def vjp(g):
-        ga = g / b.data
-        gb = -g * a.data / (b.data * b.data)
-        return _unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape)
+        return (_unbroadcast(g / b.data, a.shape) if a.requires_grad else None,
+                _unbroadcast(-g * a.data / (b.data * b.data), b.shape)
+                if b.requires_grad else None)
 
-    return _make(a.data / b.data, (a, b), tan, vjp)
+    return _make(data, (a, b), tan, vjp)
 
 
 # ---------------------------------------------------------------------------
 # linear algebra and structure
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
+def _matmul_data(op: str, a: Tensor, b: Tensor) -> np.ndarray:
     if a.ndim < 2 or b.ndim < 2:
-        raise ShapeError("matmul", f"need rank >= 2, got {a.shape} @ {b.shape}")
+        raise ShapeError(op, f"need rank >= 2, got {a.shape} @ {b.shape}")
     if a.shape[-1] != b.shape[-2]:
-        raise ShapeError("matmul", f"inner dims differ: {a.shape} @ {b.shape}")
+        raise ShapeError(op, f"inner dims differ: {a.shape} @ {b.shape}")
     try:
-        np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+        return a.data @ b.data
     except ValueError:
-        raise ShapeError("matmul", f"batch dims differ: {a.shape} @ {b.shape}") from None
+        raise ShapeError(op, f"batch dims differ: {a.shape} @ {b.shape}") from None
+
+
+def _matmul_tangent(a: Tensor, b: Tensor):
     ta, tb = a.tangent, b.tangent
     tan = None
     if ta is not None:
@@ -232,14 +271,25 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if tb is not None:
         part = a.data @ tb
         tan = part if tan is None else tan + part
+    return tan
+
+
+def _matmul_vjp(g, a: Tensor, b: Tensor):
+    ga = gb = None
+    if a.requires_grad:
+        ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape, keep_last=2)
+    if b.requires_grad:
+        gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape, keep_last=2)
+    return ga, gb
+
+
+def matmul(a: Tensor, b: Tensor) -> Tensor:
+    data = _matmul_data("matmul", a, b)
 
     def vjp(g):
-        ga = g @ np.swapaxes(b.data, -1, -2)
-        gb = np.swapaxes(a.data, -1, -2) @ g
-        return (_unbroadcast(ga, a.shape, keep_last=2),
-                _unbroadcast(gb, b.shape, keep_last=2))
+        return _matmul_vjp(g, a, b)
 
-    return _make(a.data @ b.data, (a, b), tan, vjp)
+    return _make(data, (a, b), _matmul_tangent(a, b), vjp)
 
 
 def transpose(a: Tensor, axes: tuple[int, ...]) -> Tensor:
@@ -325,7 +375,8 @@ def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
 
 def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    n = a.data.size if axis is None else a.shape[axis]
+    axes = axis if isinstance(axis, tuple) else (axis,)
+    n = a.data.size if axis is None else math.prod(a.shape[i] for i in axes)
     return mul(tsum(a, axis=axis, keepdims=keepdims), _wrap(1.0 / n))
 
 
@@ -362,9 +413,14 @@ def sqrt(a: Tensor) -> Tensor:
     return _make(data, (a,), tan, vjp)
 
 
+def _differentiated(a: Tensor) -> bool:
+    """Whether a tangent or a gradient will need the op's derivative."""
+    return a.tangent is not None or a.requires_grad
+
+
 def tanh(a: Tensor) -> Tensor:
     data = np.tanh(a.data)
-    sech2 = _F32(1.0) - data * data
+    sech2 = _ONE - data * data if _differentiated(a) else None
     tan = None if a.tangent is None else a.tangent * sech2
 
     def vjp(g):
@@ -374,30 +430,29 @@ def tanh(a: Tensor) -> Tensor:
 
 
 def sin(a: Tensor) -> Tensor:
-    data = np.sin(a.data)
-    cos_ = np.cos(a.data)
+    cos_ = np.cos(a.data) if _differentiated(a) else None
     tan = None if a.tangent is None else a.tangent * cos_
 
     def vjp(g):
         return (g * cos_,)
 
-    return _make(data, (a,), tan, vjp)
+    return _make(np.sin(a.data), (a,), tan, vjp)
 
 
 def cos(a: Tensor) -> Tensor:
-    data = np.cos(a.data)
-    nsin = -np.sin(a.data)
+    nsin = -np.sin(a.data) if _differentiated(a) else None
     tan = None if a.tangent is None else a.tangent * nsin
 
     def vjp(g):
         return (g * nsin,)
 
-    return _make(data, (a,), tan, vjp)
+    return _make(np.cos(a.data), (a,), tan, vjp)
 
 
 def clip(a: Tensor, lo: float, hi: float) -> Tensor:
     data = np.clip(a.data, _F32(lo), _F32(hi))
-    inside = ((a.data > lo) & (a.data < hi)).astype(_F32)  # zero slope at the rails
+    # zero slope at the rails
+    inside = ((a.data > lo) & (a.data < hi)).astype(_F32) if _differentiated(a) else None
     tan = None if a.tangent is None else a.tangent * inside
 
     def vjp(g):
@@ -410,14 +465,13 @@ def masked_fill(a: Tensor, mask, value: float) -> Tensor:
     """Replace entries where mask is true by a constant; grads and tangents there are zero."""
     mask = np.asarray(mask, dtype=bool)
     try:
-        np.broadcast_shapes(a.shape, mask.shape)
+        data = np.where(mask, _F32(value), a.data)
     except ValueError:
         raise ShapeError("masked_fill", f"mask {mask.shape} vs data {a.shape}") from None
-    data = np.where(mask, _F32(value), a.data)
-    tan = None if a.tangent is None else np.where(mask, _F32(0.0), a.tangent)
+    tan = None if a.tangent is None else np.where(mask, _ZERO, a.tangent)
 
     def vjp(g):
-        return (_unbroadcast(np.where(mask, _F32(0.0), g), a.shape),)
+        return (_unbroadcast(np.where(mask, _ZERO, g), a.shape),)
 
     return _make(data, (a,), tan, vjp)
 
@@ -428,31 +482,122 @@ def detach(a: Tensor) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# composites used by the networks
+# fused layers
+#
+# One node each, replaying the composite's float operations in its order
+# (tests/composites.py keeps the composites as the oracle). An input the
+# composite reached along several paths is listed once per path, and its
+# gradient comes back as one contribution per path, in the order the
+# composite's nodes would add them.
+
+_GELU_CUBIC = _F32(0.044715)
+_GELU_SCALE = _F32(0.7978845608028654)  # sqrt(2 / pi)
+_HALF = _F32(0.5)
+
 
 def gelu(x: Tensor) -> Tensor:
-    # tanh approximation
-    inner = x + (x * x * x) * 0.044715
-    return x * 0.5 * (tanh(inner * 0.7978845608028654) + 1.0)
+    """tanh approximation: x/2 * (1 + tanh(sqrt(2/pi) * (x + 0.044715 x^3)))."""
+    xd, tx = x.data, x.tangent
+    xx = xd * xd
+    inner = xd + (xx * xd) * _GELU_CUBIC
+    th = np.tanh(inner * _GELU_SCALE)
+    p = th + _ONE
+    half = xd * _HALF
+    data = half * p
+    sech2 = _ONE - th * th if _differentiated(x) else None
+    tan = None
+    if tx is not None:
+        t_cube = (tx * xd + xd * tx) * xd + xx * tx
+        t_inner = (tx + _ZERO) + t_cube * _GELU_CUBIC
+        t_p = (t_inner * _GELU_SCALE) * sech2 + _ZERO
+        tan = (tx * _HALF) * p + half * t_p
+
+    def vjp(g):
+        g_inner = ((g * half) * sech2) * _GELU_SCALE
+        g_cube = g_inner * _GELU_CUBIC
+        g_sq = (g_cube * xd) * xd
+        # paths: x/2, the inner sum, x^2 * x, and both factors of x * x
+        return (g * p) * _HALF, g_inner, g_cube * xx, g_sq, g_sq
+
+    return _make(data, (x,) * 5, tan, vjp)
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
     # the shift is a constant, so masked -1e9 scores underflow to exactly 0
-    shift = Tensor(np.max(x.data, axis=axis, keepdims=True))
-    e = exp(sub(x, shift))
-    return div(e, tsum(e, axis=axis, keepdims=True))
+    e = np.exp(x.data - np.max(x.data, axis=axis, keepdims=True))
+    s = e.sum(axis=axis, keepdims=True, dtype=_F32)
+    data = e / s
+    tan = None
+    if x.tangent is not None:
+        t_e = x.tangent * e
+        t_s = t_e.sum(axis=axis, keepdims=True, dtype=_F32)
+        tan = t_e / s - e * t_s / (s * s)
+
+    def vjp(g):
+        g_s = _unbroadcast(-g * e / (s * s), s.shape)
+        return ((g / s + g_s) * e,)
+
+    return _make(data, (x,), tan, vjp)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    m = tmean(x, axis=-1, keepdims=True)
-    d = sub(x, m)
-    var = tmean(mul(d, d), axis=-1, keepdims=True)
-    return add(mul(div(d, sqrt(add(var, _wrap(eps)))), gain), bias)
+    xd = x.data
+    inv_n = _F32(1.0 / xd.shape[-1])
+    mean = xd.sum(axis=-1, keepdims=True, dtype=_F32) * inv_n
+    d = xd - mean
+    var = (d * d).sum(axis=-1, keepdims=True, dtype=_F32) * inv_n
+    sq = np.sqrt(var + _F32(eps))
+    q = d / sq
+    try:
+        scaled = q * gain.data
+        data = scaled + bias.data
+    except ValueError:
+        raise ShapeError("layer_norm", f"gain {gain.shape} and bias {bias.shape} "
+                         f"vs input {x.shape}") from None
+    tx = x.tangent
+    t_scaled = None
+    if tx is not None:
+        t_d = tx - tx.sum(axis=-1, keepdims=True, dtype=_F32) * inv_n
+        t_var = (t_d * d + d * t_d).sum(axis=-1, keepdims=True, dtype=_F32) * inv_n
+        t_sq = (t_var + _ZERO) / (_TWO * sq)
+        t_scaled = (t_d / sq - d * t_sq / (sq * sq)) * gain.data
+    if gain.tangent is not None:
+        part = q * gain.tangent
+        t_scaled = part if t_scaled is None else t_scaled + part
+    tan = _add_tangent(data.shape, t_scaled, bias.tangent)
+
+    def vjp(g):
+        g_scaled = _unbroadcast(g, scaled.shape)
+        g_gain = _unbroadcast(g_scaled * q, gain.shape) if gain.requires_grad else None
+        g_bias = _unbroadcast(g, bias.shape) if bias.requires_grad else None
+        if not x.requires_grad:
+            return None, None, g_gain, g_bias
+        g_q = _unbroadcast(g_scaled * gain.data, q.shape)
+        g_sq = _unbroadcast(-g_q * d / (sq * sq), sq.shape)
+        g_dd = ((g_sq / (_TWO * sq)) * inv_n) * d
+        g_d = (g_q / sq + g_dd) + g_dd
+        g_mean = _unbroadcast(-g_d, mean.shape) * inv_n
+        # paths: x - mean, then sum(x)
+        return g_d, np.broadcast_to(g_mean, xd.shape), g_gain, g_bias
+
+    return _make(data, (x, x, gain, bias), tan, vjp)
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
-    out = matmul(x, w)
-    return out if b is None else add(out, b)
+    if b is None:
+        return matmul(x, w)
+    out = _matmul_data("linear", x, w)
+    try:
+        data = out + b.data
+    except ValueError:
+        raise ShapeError("linear", f"bias {b.shape} vs output {out.shape}") from None
+    tan = _add_tangent(data.shape, _matmul_tangent(x, w), b.tangent)
+
+    def vjp(g):
+        gx, gw = _matmul_vjp(_unbroadcast(g, out.shape), x, w)
+        return gx, gw, (_unbroadcast(g, b.shape) if b.requires_grad else None)
+
+    return _make(data, (x, w, b), tan, vjp)
 
 
 # ---------------------------------------------------------------------------

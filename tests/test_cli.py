@@ -5,8 +5,13 @@ import os
 import numpy as np
 import pytest
 
-from vmflow.cli import main
+from vmflow.checkpoint import load_checkpoint
+from vmflow.cli import _exit_code, load_params, main
+from vmflow.config import load_config
 from vmflow.datasets import SequenceCodec, load_dataset_jsonl
+from vmflow.optim import Adam
+from vmflow.tensor import ShapeError
+from vmflow.training import train_model
 
 
 def _read_jsonl(path):
@@ -176,6 +181,38 @@ def test_train_resume(trained_run):
     assert [r["step"] for r in rows] == [5, 6]  # 2 epochs done, 1 more = 2 steps
 
 
+def test_train_resume_updates_parameters(tmp_path):
+    """Resuming from epoch 2 to 4 trains: the parameters move, and they equal
+    an in-library train_model resumed from the same checkpoint."""
+    data = _gen_ring(tmp_path)
+    cfg_path = _write_config(tmp_path, data)
+    run = tmp_path / "run"
+    assert main(["train", "--config", str(cfg_path)]) == 0
+    ckpt2 = run / "checkpoints" / "epoch_0002.ckpt"
+    out = tmp_path / "resumed"
+    assert main(["train", "--config", str(cfg_path), "--out", str(out),
+                 "--epochs", "4", "--resume", str(ckpt2)]) == 0
+    before = load_checkpoint(ckpt2)
+    after = load_checkpoint(out / "checkpoints" / "epoch_0004.ckpt")
+    names = [k for k in before if k.startswith("param/")]
+    # one-token ring samples never show an earlier group, so only the
+    # embedding of that segment keeps its values
+    moved = {k for k in names if not np.array_equal(before[k], after[k])}
+    assert sorted(set(names) - moved) == ["param/theta/embed_xp/b",
+                                          "param/theta/embed_xp/w",
+                                          "param/theta/seg/xp"]
+
+    cfg = load_config(cfg_path, {"epochs": 4})
+    x, c, _ = load_dataset_jsonl(data)
+    params, opt_state, epoch = load_params(ckpt2)
+    opt = Adam(params, lr=cfg.lr)
+    opt.load_state_tensors(opt_state)
+    params, _, opt = train_model(cfg, x, c, params=params, opt=opt, start_epoch=epoch)
+    for k in names:
+        assert after[k].tobytes() == params[k[len("param/"):]].data.tobytes(), k
+    assert int(after["adam/step"][0]) == opt.step_count == 8
+
+
 # ---------------------------------------------------------------------------
 # granger
 
@@ -235,6 +272,10 @@ def test_exit_4_missing_file(tmp_path, capsys):
     cfg = _write_config(tmp_path, tmp_path / "absent.jsonl")
     rc = main(["train", "--config", str(cfg)])
     assert rc == 4
+
+
+def test_exit_3_for_shape_errors():
+    assert _exit_code(ShapeError("x", "y")) == 3
 
 
 def test_exit_3_eval_without_condition_ids(tmp_path, capsys):

@@ -102,6 +102,41 @@ def test_state_round_trip_resumes_identically():
     assert np.array_equal(pc.data, pa.data)
 
 
+def test_step_is_bitwise_adam_update_per_tensor():
+    shapes = {"a": (3, 4), "b": (5,), "frozen": (2, 2), "c": (1, 7)}
+    init = {k: RNG.standard_normal(s).astype(np.float32) for k, s in shapes.items()}
+    params = {k: parameter(v) for k, v in init.items()}
+    opt = Adam(params, lr=3e-3)
+    ref = {k: parameter(v) for k, v in init.items()}
+    ref_state = {k: AdamState(np.zeros(s, np.float32), np.zeros(s, np.float32))
+                 for k, s in shapes.items()}
+    for step in range(1, 6):
+        for k, s in shapes.items():
+            g = None if k == "frozen" and step % 2 else \
+                (RNG.standard_normal(s) * 10.0 ** (step - 3)).astype(np.float32)
+            params[k].grad = g
+            if g is not None:
+                adam_update(ref[k], g, ref_state[k], step, lr=3e-3, name=k)
+        opt.step()
+        for k in shapes:
+            assert params[k].data.tobytes() == ref[k].data.tobytes(), (step, k)
+            assert params[k].data.shape == shapes[k]
+            assert opt.state[k].m.tobytes() == ref_state[k].m.tobytes(), (step, k)
+            assert opt.state[k].v.tobytes() == ref_state[k].v.tobytes(), (step, k)
+
+
+def test_step_with_nonfinite_grad_names_it_and_updates_nothing():
+    p = parameter(np.ones(3, dtype=np.float32))
+    q = parameter(np.ones(2, dtype=np.float32))
+    p.grad = np.ones(3, dtype=np.float32)
+    q.grad = np.array([0.0, np.inf], dtype=np.float32)
+    opt = Adam({"theta/p": p, "theta/q": q})
+    with pytest.raises(NonFiniteGradError, match="theta/q"):
+        opt.step()
+    assert np.array_equal(p.data, np.ones(3, dtype=np.float32))
+    assert not opt.state["theta/p"].m.any()
+
+
 def test_grad_global_norm():
     p = parameter(np.zeros(3, np.float32))
     q = parameter(np.zeros(4, np.float32))

@@ -3,11 +3,13 @@ closed form, evaluation counts, and bit-level determinism."""
 import numpy as np
 import pytest
 
-from vmflow.model import ModelDims
+from vmflow import sampling
+from vmflow.model import ModelDims, theta_forward
 from vmflow.rng import make_rng, normal_f32
 from vmflow.sampling import (ModelField, SampleError, guide,
                              null_condition_array, sample_batch,
                              sample_multi_step, sample_one_nfe)
+from vmflow.tensor import Tensor
 from vmflow.training import init_params
 
 F32 = np.float32
@@ -230,3 +232,38 @@ def test_errors():
     params["theta/head/w"].data[0, 0] = np.nan
     with pytest.raises(SampleError, match="model output"):
         sample_one_nfe(field, cc, eps2)
+
+
+# ---------------------------------------------------------------------------
+# sampling from trainable parameters
+
+def test_field_records_no_graph_for_trainable_params(monkeypatch):
+    field, params, c, eps = real_field(seed=11)
+    assert all(p.requires_grad for p in params.values())
+    outs = []
+
+    def spy(*args):
+        outs.append(theta_forward(*args))
+        return outs[-1]
+
+    monkeypatch.setattr(sampling, "theta_forward", spy)
+    b, length = eps.shape[0], eps.shape[1]
+    field(c, eps, np.zeros(b, dtype=F32), np.ones(b, dtype=F32))
+    assert outs[0]._parents == () and not outs[0].requires_grad
+
+    consts = {k: Tensor(p.data) for k, p in params.items()}
+    for kw in (dict(nfe=1, guidance_w=1.5), dict(nfe=3)):
+        a = sample_batch(params, DIMS, c, length, make_rng(5), **kw)
+        b_ = sample_batch(consts, DIMS, c, length, make_rng(5), **kw)
+        assert a.x.tobytes() == b_.x.tobytes()
+
+
+def test_field_reads_current_parameter_values():
+    """A field built before an optimizer step samples with the new values:
+    Adam rebinds `.data`, and each call reads it afresh."""
+    field, params, c, eps = real_field(seed=11)
+    b = eps.shape[0]
+    r, t = np.zeros(b, dtype=F32), np.ones(b, dtype=F32)
+    before = field(c, eps, r, t).copy()
+    params["theta/head/b"].data = params["theta/head/b"].data + F32(1.0)
+    assert not np.array_equal(field(c, eps, r, t), before)

@@ -133,6 +133,8 @@ def _scalar_cases():
          [randn(3, 8, scale=2.0), randn(8, shift=1.0), randn(8)]),
         ("linear", lambda x, w, b: T.tsum(T.linear(x, w, b) * w235),
          [randn(2, 3, 4), randn(4, 5), randn(5)]),
+        ("mean_tuple_axis", lambda a: T.tsum(T.tmean(a * a, axis=(1, 2))
+                                             * Tensor([1.0, -2.0])), [randn(2, 3, 4)]),
     ]
 
 
