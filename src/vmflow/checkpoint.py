@@ -7,6 +7,7 @@ always produce identical bytes.
 """
 from __future__ import annotations
 
+import os
 import struct
 
 import numpy as np
@@ -21,7 +22,13 @@ class CheckpointError(RuntimeError):
 
 
 def save_checkpoint(path, tensors: dict):
-    """Write named arrays (Tensor or ndarray values) to `path`."""
+    """Write named arrays (Tensor or ndarray values) to `path`.
+
+    The bytes go to a temporary file beside `path`, which then replaces it
+    in one rename: a failed or interrupted write leaves any earlier file
+    at `path` whole. The file is not fsynced, so the write survives a
+    process crash but is not made durable against power loss.
+    """
     items = []
     for name in sorted(tensors):
         arr = tensors[name]
@@ -29,20 +36,27 @@ def save_checkpoint(path, tensors: dict):
             arr = arr.data
         arr = np.asarray(arr, dtype="<f4")  # tobytes() emits C order either way
         items.append((name, arr))
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", len(items)))
-        for name, arr in items:
-            raw = name.encode("utf-8")
-            if len(raw) > 0xFFFF:
-                raise CheckpointError(f"tensor name too long: {len(raw)} bytes")
-            if arr.ndim > 0xFF:
-                raise CheckpointError(f"tensor rank too large: {arr.ndim}")
-            fh.write(struct.pack("<H", len(raw)))
-            fh.write(raw)
-            fh.write(struct.pack("B", arr.ndim))
-            fh.write(struct.pack(f"<{arr.ndim}Q", *arr.shape))
-            fh.write(arr.tobytes())
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(MAGIC)
+            fh.write(struct.pack("<I", len(items)))
+            for name, arr in items:
+                raw = name.encode("utf-8")
+                if len(raw) > 0xFFFF:
+                    raise CheckpointError(f"tensor name too long: {len(raw)} bytes")
+                if arr.ndim > 0xFF:
+                    raise CheckpointError(f"tensor rank too large: {arr.ndim}")
+                fh.write(struct.pack("<H", len(raw)))
+                fh.write(raw)
+                fh.write(struct.pack("B", arr.ndim))
+                fh.write(struct.pack(f"<{arr.ndim}Q", *arr.shape))
+                fh.write(arr.tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:

@@ -25,7 +25,7 @@ from .datasets import (DatasetError, SequenceCodec, ToySequenceSpec,
 from .granger import GrangerError, P_BIN_LABELS, latent_causality_report
 from .mask import (GroupSplit, MaskError, build_mask, mask_summary,
                    render_ascii, render_pgm, split_with_decay)
-from .metrics import MetricError, conditional_metrics, cosine_sim
+from .metrics import MetricError, conditional_metrics, cosine_sim, paired_cosine
 from .optim import Adam, NonFiniteGradError
 from .rng import make_rng
 from .sampling import SampleError, sample_batch
@@ -221,12 +221,12 @@ def _cmd_eval(args) -> int:
         json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
     if args.curve:
-        f = [cosine_sim(g, r) for g, r in zip(gen, ref)]
+        f = paired_cosine(np.stack(gen), np.stack(ref))
         with open(args.curve, "w") as fh:
             fh.write("threshold,similarity,novelty,diversity\n")
             for th in np.arange(0.05, 1.0, 0.05):
-                sim = 100.0 * float(np.mean([v >= th for v in f]))
-                nov = 100.0 * float(np.mean([v < th for v in f]))
+                sim = 100.0 * float(np.mean(f >= th))
+                nov = 100.0 * float(np.mean(f < th))
                 fh.write(f"{th:.2f},{sim:.4f},{nov:.4f},"
                          f"{report.metrics['diversity']:.4f}\n")
     print(f"overall {report.overall:.2f} over {report.n_samples} samples -> {out_path}")

@@ -44,7 +44,7 @@ class RunConfig:
     # training
     lr: float = 1e-3
     epochs: int = 10
-    batch_size: int = 64
+    batch_size: int = 64   # sets n // batch_size near-equal batches per epoch, not their rows
     p_equal: float = _UNSET
     time_sampling: str = "uniform"   # or "lognormal"
     lognorm_mean: float = -0.4

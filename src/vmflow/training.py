@@ -271,6 +271,11 @@ def train_model(cfg: RunConfig, data_x: np.ndarray, data_c: np.ndarray, *,
                 start_epoch: int = 0) -> tuple[dict[str, Tensor], ModelDims, Adam]:
     """Full training run; batches are epoch-shuffled slices of the dataset.
 
+    cfg.batch_size sets the number of batches, not their size: each epoch
+    splits the shuffled rows into max(1, n // batch_size) near-equal
+    chunks, so 4000 rows at batch_size 256 train as 15 batches of 266 or
+    267 rows.
+
     log_fn(step: int, report: LossReport) fires per step;
     checkpoint_fn(epoch: int, params, opt) fires every checkpoint_every
     epochs and at the end. Pass params/opt/start_epoch to resume.

@@ -82,3 +82,14 @@ def test_trailing_garbage_rejected(tmp_path):
     path.write_bytes(path.read_bytes() + b"xx")
     with pytest.raises(CheckpointError, match="trailing"):
         load_checkpoint(path)
+
+
+def test_failed_save_keeps_existing_file(tmp_path):
+    path = tmp_path / "final.ckpt"
+    save_checkpoint(path, {"w": np.arange(6, dtype=np.float32)})
+    before = path.read_bytes()
+    # the name check fails after the header and first tensor are written
+    with pytest.raises(CheckpointError):
+        save_checkpoint(path, {"a": np.ones(3, dtype=np.float32), "b" * 70000: np.ones(2)})
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["final.ckpt"]

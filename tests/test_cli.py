@@ -286,3 +286,13 @@ def test_exit_3_eval_without_condition_ids(tmp_path, capsys):
                "--out", str(tmp_path / "m.json")])
     assert rc == 3
     assert _stderr_error(capsys)["error"] == "MetricError"
+
+
+def test_exit_3_eval_ragged_rows(tmp_path, capsys):
+    bad = tmp_path / "ragged.jsonl"
+    bad.write_text("".join(json.dumps({"latent": v}) + "\n"
+                           for v in ([1, 2, 3], [1, 2], [0, 1, 1])))
+    rc = main(["eval", "--samples", str(bad), "--references", str(bad),
+               "--pair", "order", "--out", str(tmp_path / "m.json")])
+    assert rc == 3
+    assert _stderr_error(capsys)["error"] == "MetricError"

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from vmflow.datasets import make_gmm_dataset, ring_spec
-from vmflow.metrics import (MetricError, MetricReport, conditional_metrics,
-                            cosine_sim, histogram_kl, kl_score, mode_coverage,
+from vmflow.metrics import (_BLOCK, MetricError, MetricReport,
+                            conditional_metrics, cosine_sim, histogram_kl,
+                            kl_score, mode_coverage, paired_cosine,
                             unconditional_metrics)
 from vmflow.rng import make_rng
 
@@ -109,6 +110,90 @@ def test_conditional_errors():
         conditional_metrics([], [])
     with pytest.raises(MetricError):
         conditional_metrics([np.ones(2)], [np.ones(2), np.ones(2)])
+    with pytest.raises(MetricError, match="generated feature rows"):
+        conditional_metrics([np.ones(3), np.ones(2)], [np.ones(3), np.ones(3)])
+    with pytest.raises(MetricError, match="reference feature rows"):
+        conditional_metrics([np.ones(3), np.ones(3)], [np.ones(3), np.ones(2)])
+    with pytest.raises(MetricError, match="widths differ"):
+        conditional_metrics([np.ones(3), np.ones(3)], [np.ones(2), np.ones(2)])
+
+
+# ---------------------------------------------------------------------------
+# the matrix path (default cosine_sim) against the per-pair path
+
+def _per_pair(a, b):
+    return cosine_sim(a, b)
+
+
+def _assert_paths_agree(gen, ref, valid=None):
+    got = conditional_metrics(gen, ref, valid=valid)
+    want = conditional_metrics(gen, ref, _per_pair, valid=valid)
+    for k in want.metrics:
+        assert abs(got.metrics[k] - want.metrics[k]) <= 1e-9, k
+    return got
+
+
+@pytest.mark.parametrize("n", [2, 3, _BLOCK, 2 * _BLOCK + 3])
+def test_matrix_path_matches_per_pair_across_blocks(n):
+    rng = make_rng(n)
+    gen = list(rng.standard_normal((n, 6)))  # signed, so blocks clip too
+    ref = list(rng.standard_normal((n, 6)))
+    valid = rng.random(n) < 0.9
+    valid[:2] = True
+    _assert_paths_agree(gen, ref)
+    _assert_paths_agree(gen, ref, valid)
+
+
+def test_matrix_path_zero_rows_and_negative_cosines():
+    rng = make_rng(21)
+    gen = list(rng.standard_normal((40, 5)))  # signed: about half the cosines < 0
+    ref = list(rng.standard_normal((40, 5)))
+    gen[0][:] = 0.0
+    gen[7][:] = 0.0
+    ref[3][:] = 0.0
+    gen[5], gen[6] = np.ones(5), -np.ones(5)  # cosine -1, clipped to 0
+    rep = _assert_paths_agree(gen, ref)
+    assert 0.0 < rep.metrics["diversity"] <= 100.0
+    assert _assert_paths_agree([np.ones(5), -np.ones(5)], [np.ones(5)] * 2
+                               ).metrics["diversity"] == 100.0
+
+
+@pytest.mark.filterwarnings("ignore:invalid value")  # the per-pair path's inf/inf
+def test_matrix_path_non_finite_rows():
+    rng = make_rng(22)
+    gen = list(np.abs(rng.standard_normal((12, 4))))
+    ref = list(np.abs(rng.standard_normal((12, 4))))
+    gen[2][1] = np.nan
+    gen[9][0] = np.inf
+    valid = np.array([np.all(np.isfinite(g)) for g in gen])
+    rep = _assert_paths_agree(gen, ref, valid)
+    # a non-finite row's f is NaN: it counts toward neither similarity nor novelty
+    f = paired_cosine(np.stack(gen), np.stack(ref))
+    assert np.isnan(f[[2, 9]]).all() and np.isfinite(f[valid]).all()
+    fin = f[valid]
+    assert rep.metrics["similarity"] == float(np.sum(fin >= 0.5) / 12 * 100.0)
+    assert rep.metrics["novelty"] == float(np.sum(fin < 0.8) / 12 * 100.0)
+    for sim_fn in (cosine_sim, _per_pair):
+        with pytest.raises(MetricError):
+            conditional_metrics(gen, ref, sim_fn)
+    # zero rows score 0 against a NaN row, which leaves diversity finite
+    rep = _assert_paths_agree([gen[2], np.zeros(4), np.zeros(4)], ref[:3])
+    assert rep.metrics["diversity"] == 100.0
+
+
+def test_matrix_path_one_valid_row():
+    rng = make_rng(23)
+    gen = list(np.abs(rng.standard_normal((5, 3))))
+    valid = [False, False, True, False, False]
+    rep = _assert_paths_agree(gen, gen, valid)
+    assert rep.metrics["diversity"] == 0.0
+
+
+def test_matrix_path_flattens_gen_rows_against_flat_refs():
+    rng = make_rng(24)
+    gen = list(np.abs(rng.standard_normal((30, 3, 4))))  # [L, D] per sample
+    ref = list(np.abs(rng.standard_normal((30, 12))))    # [L * D]
+    _assert_paths_agree(gen, ref)
 
 
 # ---------------------------------------------------------------------------
