@@ -12,8 +12,6 @@ import struct
 
 import numpy as np
 
-from .tensor import Tensor
-
 MAGIC = b"VMFCKPT1"
 
 
@@ -22,20 +20,15 @@ class CheckpointError(RuntimeError):
 
 
 def save_checkpoint(path, tensors: dict):
-    """Write named arrays (Tensor or ndarray values) to `path`.
+    """Write named arrays to `path`.
 
     The bytes go to a temporary file beside `path`, which then replaces it
     in one rename: a failed or interrupted write leaves any earlier file
     at `path` whole. The file is not fsynced, so the write survives a
     process crash but is not made durable against power loss.
     """
-    items = []
-    for name in sorted(tensors):
-        arr = tensors[name]
-        if isinstance(arr, Tensor):
-            arr = arr.data
-        arr = np.asarray(arr, dtype="<f4")  # tobytes() emits C order either way
-        items.append((name, arr))
+    items = [(name, np.asarray(tensors[name], dtype="<f4"))  # tobytes() is C order
+             for name in sorted(tensors)]
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as fh:

@@ -21,7 +21,8 @@ from .config import (ConfigError, RunConfig, VariantError, load_config,
                      save_config)
 from .datasets import (DatasetError, SequenceCodec, ToySequenceSpec,
                        load_dataset_jsonl, make_gmm_dataset,
-                       make_sequence_dataset, ring_spec, save_dataset_jsonl)
+                       make_sequence_dataset, read_jsonl, ring_spec,
+                       save_dataset_jsonl)
 from .granger import GrangerError, P_BIN_LABELS, latent_causality_report
 from .mask import (GroupSplit, MaskError, build_mask, mask_summary,
                    render_ascii, render_pgm, split_with_decay)
@@ -45,22 +46,6 @@ def _apply_env_seed(cfg: RunConfig):
             cfg.seed = int(env)
         except ValueError:
             raise ConfigError(f"VMFLOW_SEED must be an integer, got {env!r}")
-
-
-def _read_jsonl(path) -> list[dict]:
-    rows = []
-    with open(path) as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rows.append(json.loads(line))
-            except json.JSONDecodeError as e:
-                raise DatasetError(f"{path}:{line_no}: bad JSON ({e})")
-    if not rows:
-        raise DatasetError(f"{path}: no rows")
-    return rows
 
 
 def _parse_overrides(pairs: list[str]) -> dict:
@@ -124,7 +109,8 @@ def _cmd_train(args) -> int:
         opt = Adam(params, lr=cfg.lr)
         opt.load_state_tensors(opt_state)
 
-    with open(out / "train.log.jsonl", "w") as log_fh:
+    # a resumed run continues the log of the run it resumes
+    with open(out / "train.log.jsonl", "a" if args.resume else "w") as log_fh:
         def log_fn(step, rep):
             row = {"step": step, "l2": rep.l2, "kl": rep.kl,
                    "dispersive": rep.dispersive, "total": rep.total,
@@ -164,6 +150,8 @@ def _cmd_sample(args) -> int:
     nfe = args.nfe if args.nfe is not None else cfg.nfe
     w = args.w if args.w is not None else cfg.guidance_w
     n = args.n if args.n is not None else cfg.n_samples
+    if n < 1:
+        raise SampleError(f"--n must be >= 1, got {n}")
 
     data_path = args.data or cfg.dataset
     x, c, meta = load_dataset_jsonl(data_path)
@@ -197,8 +185,8 @@ def _row_features(row: dict, path) -> np.ndarray:
 
 
 def _cmd_eval(args) -> int:
-    gen_rows = _read_jsonl(args.samples)
-    ref_rows = _read_jsonl(args.references)
+    gen_rows = read_jsonl(args.samples)
+    ref_rows = read_jsonl(args.references)
     refs = [_row_features(r, args.references) for r in ref_rows]
 
     if args.pair == "condition":
@@ -235,7 +223,12 @@ def _cmd_eval(args) -> int:
 
 def _cmd_mask(args) -> int:
     if args.split:
-        split = GroupSplit(tuple(int(s) for s in args.split.split(",")))
+        try:
+            sizes = tuple(int(s) for s in args.split.split(","))
+        except ValueError:
+            raise MaskError(f"--split expects comma-separated integers, "
+                            f"got {args.split!r}") from None
+        split = GroupSplit(sizes)
     else:
         split = split_with_decay(args.sample_len, args.decay, make_rng(args.seed))
     mask = build_mask(args.sample_len, args.cond_len, args.latent_len, split)
@@ -254,7 +247,7 @@ def _cmd_mask(args) -> int:
 
 
 def _cmd_granger(args) -> int:
-    rows = _read_jsonl(args.latents)
+    rows = read_jsonl(args.latents)
     payload = [row.get("latent") for row in rows]
     if any(p is None for p in payload):
         raise GrangerError(f"{args.latents}: every row needs a 'latent' field")

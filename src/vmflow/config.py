@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import numbers
 from dataclasses import dataclass
 
 
@@ -25,6 +26,14 @@ DISPERSIVE = {"MFD", "VMFD"}
 EQUAL_TIMES = {"FM", "RFM"}  # instantaneous-velocity training only
 
 _UNSET = -1.0
+
+# field annotation -> accepted values; bool is an Integral, so int excludes it
+_FIELD_TYPES = {
+    "int": lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool),
+    "float": lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool),
+    "bool": lambda v: isinstance(v, bool),
+    "str": lambda v: isinstance(v, str),
+}
 
 
 @dataclass
@@ -67,6 +76,10 @@ class RunConfig:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise VariantError(f"unknown variant '{self.variant}', expected one of {VARIANTS}")
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if not _FIELD_TYPES[f.type](value):
+                raise ConfigError(f"{f.name} must be {f.type}, got {value!r}")
         self._fill_defaults()
         self._check()
 
@@ -108,7 +121,8 @@ class RunConfig:
             raise ConfigError(f"nfe must be >= 1, got {self.nfe}")
         if self.disp_block >= self.blocks:
             raise ConfigError(f"disp_block {self.disp_block} out of range for {self.blocks} blocks")
-        for field in ("width", "heads", "blocks", "latent_dim", "epochs", "batch_size"):
+        for field in ("width", "heads", "blocks", "latent_dim", "epochs", "batch_size",
+                      "checkpoint_every", "n_samples"):
             if getattr(self, field) < 1:
                 raise ConfigError(f"{field} must be positive")
 
@@ -134,7 +148,10 @@ def config_from_dict(raw: dict) -> RunConfig:
 
 def load_config(path, overrides: dict | None = None) -> RunConfig:
     with open(path) as fh:
-        raw = json.load(fh)
+        try:
+            raw = json.load(fh)
+        except json.JSONDecodeError as e:
+            raise ConfigError(f"{path}: bad JSON ({e})") from None
     if not isinstance(raw, dict):
         raise ConfigError(f"config root must be an object, got {type(raw).__name__}")
     if overrides:

@@ -225,20 +225,31 @@ def save_dataset_jsonl(path: str, x: np.ndarray, c: np.ndarray,
             fh.write(json.dumps(row) + "\n")
 
 
-def load_dataset_jsonl(path: str) -> tuple[np.ndarray, np.ndarray, list[dict]]:
-    xs, cs, meta = [], [], []
+def read_jsonl(path) -> list[dict]:
+    """Every non-blank line of a JSONL file, parsed. Raises DatasetError
+    naming path:line on bad JSON, and when the file has no rows."""
+    rows = []
     with open(path) as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                row = json.loads(line)
-                xs.append(np.asarray(row["x"], dtype=_F32))
-                cs.append(np.asarray(row["c"], dtype=_F32))
-                meta.append(row.get("meta", {}))
-            except (json.JSONDecodeError, KeyError, TypeError) as e:
+                rows.append(json.loads(line))
+            except json.JSONDecodeError as e:
                 raise DatasetError(f"{path}:{line_no}: bad dataset row ({e})")
-    if not xs:
+    if not rows:
         raise DatasetError(f"{path}: empty dataset")
+    return rows
+
+
+def load_dataset_jsonl(path: str) -> tuple[np.ndarray, np.ndarray, list[dict]]:
+    xs, cs, meta = [], [], []
+    for i, row in enumerate(read_jsonl(path), start=1):
+        try:
+            xs.append(np.asarray(row["x"], dtype=_F32))
+            cs.append(np.asarray(row["c"], dtype=_F32))
+            meta.append(row.get("meta", {}))
+        except (KeyError, TypeError) as e:
+            raise DatasetError(f"{path}: row {i}: bad dataset row ({e})")
     return np.stack(xs), np.stack(cs), meta

@@ -9,12 +9,13 @@ flow noise, so the posterior stays stochastic given the flow inputs).
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor as T
-from .model import ModelDims
+from .model import ModelDims, normal_param, zeros_param
 from .rng import normal_f32
 from .tensor import ShapeError, Tensor
 
@@ -34,18 +35,12 @@ class VariationalOutput:
 def init_phi(rng: np.random.Generator, dims: ModelDims) -> dict[str, Tensor]:
     d_in = dims.cond_dim + 3 * dims.data_dim + 2
     hid = dims.phi_hidden
-
-    def normal(*shape, scale=0.02):
-        return T.parameter(rng.standard_normal(shape).astype(_F32) * _F32(scale))
-
-    def zeros(*shape):
-        return T.parameter(np.zeros(shape, dtype=_F32))
-
+    normal = functools.partial(normal_param, rng)
     return {
-        "phi/w1": normal(d_in, hid), "phi/b1": zeros(hid),
-        "phi/w2": normal(hid, hid), "phi/b2": zeros(hid),
-        "phi/mu/w": normal(hid, dims.latent_dim), "phi/mu/b": zeros(dims.latent_dim),
-        "phi/lv/w": normal(hid, dims.latent_dim), "phi/lv/b": zeros(dims.latent_dim),
+        "phi/w1": normal(d_in, hid), "phi/b1": zeros_param(hid),
+        "phi/w2": normal(hid, hid), "phi/b2": zeros_param(hid),
+        "phi/mu/w": normal(hid, dims.latent_dim), "phi/mu/b": zeros_param(dims.latent_dim),
+        "phi/lv/w": normal(hid, dims.latent_dim), "phi/lv/b": zeros_param(dims.latent_dim),
     }
 
 

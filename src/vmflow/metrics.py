@@ -1,10 +1,9 @@
 """Evaluation metrics on synthetic domains.
 
 Conditional: paired similarity/novelty against references, pairwise
-diversity among valid samples, decoder validity. Unconditional:
-uniqueness, training-set novelty, and a histogram-KL score. Every report
-names its similarity function so these numbers are never mistaken for
-chemistry-metric values measured elsewhere.
+diversity among valid samples, decoder validity; and mode coverage of
+mixture samples. Every report names its similarity function so these
+numbers are never mistaken for chemistry-metric values measured elsewhere.
 """
 from __future__ import annotations
 
@@ -34,13 +33,6 @@ class MetricReport:
         return {"metrics": dict(self.metrics), "overall": self.overall,
                 "n_samples": self.n_samples, "sim_fn": self.sim_fn,
                 "thresholds": dict(self.thresholds)}
-
-
-def _finish(metrics: dict, n: int, sim_fn: str = "",
-            thresholds: dict | None = None) -> MetricReport:
-    overall = float(np.mean([float(v) for v in metrics.values()]))
-    return MetricReport(metrics=metrics, overall=overall, n_samples=n,
-                        sim_fn=sim_fn, thresholds=thresholds or {})
 
 
 def cosine_sim(a: np.ndarray, b: np.ndarray) -> float:
@@ -147,61 +139,12 @@ def conditional_metrics(gen_feats, ref_feats, sim_fn=cosine_sim, *,
                  for a, i in enumerate(vidx) for j in vidx[a + 1:]]
         diversity = float(np.mean(dists) * 100.0)
     validity = float(valid.mean() * 100.0)
-    return _finish({"similarity": similarity, "novelty": novelty,
-                    "diversity": diversity, "validity": validity},
-                   n, sim_name,
-                   {"sim": sim_thresh, "novel": novel_thresh})
-
-
-# ---------------------------------------------------------------------------
-# unconditional
-
-def histogram_kl(gen_hist, train_hist, smoothing: float = 1e-6) -> float:
-    """KL(gen || train) in nats over smoothed, renormalized bin masses."""
-    p = np.asarray(gen_hist, dtype=np.float64) + smoothing
-    q = np.asarray(train_hist, dtype=np.float64) + smoothing
-    if p.shape != q.shape or p.ndim != 1:
-        raise MetricError("histograms must be equal-length vectors")
-    if np.any(np.asarray(gen_hist) < 0) or np.any(np.asarray(train_hist) < 0):
-        raise MetricError("negative bin mass")
-    p /= p.sum()
-    q /= q.sum()
-    return float(np.sum(p * np.log(p / q)))
-
-
-def kl_score(gen_feats: np.ndarray, train_feats: np.ndarray, *,
-             n_bins: int = 10, smoothing: float = 1e-6) -> float:
-    """exp(-KL) * 100, KL averaged over feature columns with shared bins."""
-    gen = np.atleast_2d(np.asarray(gen_feats, dtype=np.float64))
-    train = np.atleast_2d(np.asarray(train_feats, dtype=np.float64))
-    if gen.shape[1] != train.shape[1]:
-        raise MetricError("feature width mismatch")
-    kls = []
-    for j in range(gen.shape[1]):
-        lo = min(gen[:, j].min(), train[:, j].min())
-        hi = max(gen[:, j].max(), train[:, j].max())
-        if hi == lo:
-            hi = lo + 1.0  # all mass in one bin on both sides: KL 0
-        edges = np.linspace(lo, hi, n_bins + 1)
-        hg, _ = np.histogram(gen[:, j], bins=edges)
-        ht, _ = np.histogram(train[:, j], bins=edges)
-        kls.append(histogram_kl(hg, ht, smoothing))
-    return float(np.exp(-np.mean(kls)) * 100.0)
-
-
-def unconditional_metrics(gen_keys, train_keys, gen_feats, train_feats, *,
-                          n_bins: int = 10) -> MetricReport:
-    """Keys are hashable decoded outputs; feats are scalar summary columns."""
-    gen_keys = list(gen_keys)
-    if not gen_keys or not list(train_keys):
-        raise MetricError("empty sample or training set")
-    n = len(gen_keys)
-    uniqueness = len(set(gen_keys)) / n * 100.0
-    train_set = set(train_keys)
-    novelty = sum(k not in train_set for k in gen_keys) / n * 100.0
-    score = kl_score(gen_feats, train_feats, n_bins=n_bins)
-    return _finish({"uniqueness": uniqueness, "novelty": novelty,
-                    "kl_score": score}, n)
+    metrics = {"similarity": similarity, "novelty": novelty,
+               "diversity": diversity, "validity": validity}
+    return MetricReport(metrics=metrics,
+                        overall=float(np.mean([float(v) for v in metrics.values()])),
+                        n_samples=n, sim_fn=sim_name,
+                        thresholds={"sim": sim_thresh, "novel": novel_thresh})
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ starts close to the identity map x_hat = eps).
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,68 +41,52 @@ class ModelDims:
             raise ShapeError("model", f"latent_tokens must be 0 or 1, got {self.latent_tokens}")
 
 
-@dataclass(frozen=True)
-class SequenceLayout:
-    cond_len: int
-    latent_len: int
-    visible_len: int
-    sample_len: int
+def normal_param(rng: np.random.Generator, *shape, scale=0.02) -> Tensor:
+    """N(0, scale^2) f32 parameter; init_theta and init_phi share these helpers."""
+    return T.parameter(rng.standard_normal(shape).astype(_F32) * _F32(scale))
 
-    @property
-    def offsets(self) -> tuple[int, int, int, int]:
-        c = 0
-        h = c + self.cond_len
-        xp = h + self.latent_len
-        z = xp + self.visible_len
-        return c, h, xp, z
 
-    @property
-    def seq_len(self) -> int:
-        return self.cond_len + self.latent_len + self.visible_len + self.sample_len
+def zeros_param(*shape) -> Tensor:
+    return T.parameter(np.zeros(shape, dtype=_F32))
+
+
+def ones_param(*shape) -> Tensor:
+    return T.parameter(np.ones(shape, dtype=_F32))
 
 
 def init_theta(rng: np.random.Generator, dims: ModelDims) -> dict[str, Tensor]:
     """Parameter dict under 'theta/...'; checkpoint-ready names."""
     w = dims.width
     p: dict[str, Tensor] = {}
-
-    def normal(*shape, scale=0.02):
-        return T.parameter(rng.standard_normal(shape).astype(_F32) * _F32(scale))
-
-    def zeros(*shape):
-        return T.parameter(np.zeros(shape, dtype=_F32))
-
-    def ones(*shape):
-        return T.parameter(np.ones(shape, dtype=_F32))
-
+    normal = functools.partial(normal_param, rng)
     for seg, d_in in (("c", dims.cond_dim), ("h", dims.latent_dim),
                       ("xp", dims.data_dim), ("z", dims.data_dim)):
         p[f"theta/embed_{seg}/w"] = normal(d_in, w)
-        p[f"theta/embed_{seg}/b"] = zeros(w)
+        p[f"theta/embed_{seg}/b"] = zeros_param(w)
         p[f"theta/seg/{seg}"] = normal(w)
     p["theta/c_null"] = normal(dims.cond_dim)
     tf = 4 * dims.time_freqs
     p["theta/time/w1"] = normal(tf, w)
-    p["theta/time/b1"] = zeros(w)
+    p["theta/time/b1"] = zeros_param(w)
     p["theta/time/w2"] = normal(w, w)
-    p["theta/time/b2"] = zeros(w)
+    p["theta/time/b2"] = zeros_param(w)
     for k in range(dims.blocks):
         b = f"theta/blk{k}"
-        p[f"{b}/ln1/g"] = ones(w)
-        p[f"{b}/ln1/b"] = zeros(w)
+        p[f"{b}/ln1/g"] = ones_param(w)
+        p[f"{b}/ln1/b"] = zeros_param(w)
         for m in ("wq", "wk", "wv", "wo"):
             p[f"{b}/attn/{m}"] = normal(w, w)
-        p[f"{b}/attn/bo"] = zeros(w)
-        p[f"{b}/ln2/g"] = ones(w)
-        p[f"{b}/ln2/b"] = zeros(w)
+        p[f"{b}/attn/bo"] = zeros_param(w)
+        p[f"{b}/ln2/g"] = ones_param(w)
+        p[f"{b}/ln2/b"] = zeros_param(w)
         p[f"{b}/mlp/w1"] = normal(w, 4 * w)
-        p[f"{b}/mlp/b1"] = zeros(4 * w)
+        p[f"{b}/mlp/b1"] = zeros_param(4 * w)
         p[f"{b}/mlp/w2"] = normal(4 * w, w)
-        p[f"{b}/mlp/b2"] = zeros(w)
-    p["theta/ln_f/g"] = ones(w)
-    p["theta/ln_f/b"] = zeros(w)
+        p[f"{b}/mlp/b2"] = zeros_param(w)
+    p["theta/ln_f/g"] = ones_param(w)
+    p["theta/ln_f/b"] = zeros_param(w)
     p["theta/head/w"] = normal(w, dims.data_dim, scale=0.002)  # start near u = 0
-    p["theta/head/b"] = zeros(dims.data_dim)
+    p["theta/head/b"] = zeros_param(dims.data_dim)
     return p
 
 
@@ -182,26 +167,18 @@ def theta_forward(params: dict[str, Tensor], dims: ModelDims, c, h, x_p, z,
         raise ShapeError("theta_forward", "need 0 <= r <= t <= 1 elementwise")
 
     segments = []
-    lengths = {}
-    for name, tok in (("c", c), ("h", h)):
+    for name, tok in (("c", c), ("h", h), ("xp", x_p)):
         tok = None if tok is None else _ensure(tok, name)
-        lengths[name] = 0 if tok is None or tok.shape[1] == 0 else tok.shape[1]
-        if lengths[name]:
+        if tok is not None and tok.shape[1]:
             segments.append((name, tok))
-    x_p = None if x_p is None else _ensure(x_p, "x_p")
-    lengths["xp"] = 0 if x_p is None or x_p.shape[1] == 0 else x_p.shape[1]
-    if lengths["xp"]:
-        segments.append(("xp", x_p))
     segments.append(("z", z))
-
-    layout = SequenceLayout(lengths["c"], lengths["h"], lengths["xp"], z_len)
-    if mask.seq_len != layout.seq_len:
-        raise ShapeError("theta_forward",
-                         f"mask covers {mask.seq_len} tokens, layout has {layout.seq_len}")
-    if (mask.cond_len + mask.latent_len != layout.cond_len + layout.latent_len
-            or mask.visible_len != layout.visible_len
-            or mask.sample_len != layout.sample_len):
-        raise ShapeError("theta_forward", "mask segment lengths disagree with inputs")
+    lens = {name: tok.shape[1] for name, tok in segments}
+    got = (lens.get("c", 0) + lens.get("h", 0), lens.get("xp", 0), z_len)
+    want = (mask.cond_len + mask.latent_len, mask.visible_len, mask.sample_len)
+    if got != want:
+        raise ShapeError("theta_forward", f"mask segment lengths (cond+latent, "
+                         f"visible, sample) {want} disagree with inputs {got}")
+    z_off = mask.seq_len - z_len
 
     time_emb = T.reshape(embed_time(tc, rc, params, dims), (-1, 1, dims.width))
     embedded = []
@@ -224,10 +201,8 @@ def theta_forward(params: dict[str, Tensor], dims: ModelDims, c, h, x_p, z,
                        params[f"{b}/mlp/w2"], params[f"{b}/mlp/b2"])
         x = x + hdn
         if collect_block is not None and k == collect_block:
-            z_off = layout.offsets[3]
             reps = T.tmean(x[:, z_off:, :], axis=1)
     x = T.layer_norm(x, params["theta/ln_f/g"], params["theta/ln_f/b"])
-    z_off = layout.offsets[3]
     u = T.linear(x[:, z_off:, :], params["theta/head/w"], params["theta/head/b"])
     if collect_block is None:
         return u

@@ -213,6 +213,18 @@ def test_train_resume_updates_parameters(tmp_path):
     assert int(after["adam/step"][0]) == opt.step_count == 8
 
 
+def test_train_resume_appends_log(tmp_path):
+    """Resuming into the run's own directory keeps the first segment's log."""
+    data = _gen_ring(tmp_path)
+    cfg_path = _write_config(tmp_path, data, batch_size=4)  # 4 steps per epoch
+    run = tmp_path / "run"
+    assert main(["train", "--config", str(cfg_path)]) == 0
+    assert main(["train", "--config", str(cfg_path), "--epochs", "3", "--resume",
+                 str(run / "checkpoints" / "epoch_0002.ckpt")]) == 0
+    rows = _read_jsonl(run / "train.log.jsonl")
+    assert [r["step"] for r in rows] == list(range(1, 13))
+
+
 # ---------------------------------------------------------------------------
 # granger
 
@@ -296,3 +308,81 @@ def test_exit_3_eval_ragged_rows(tmp_path, capsys):
                "--pair", "order", "--out", str(tmp_path / "m.json")])
     assert rc == 3
     assert _stderr_error(capsys)["error"] == "MetricError"
+
+
+@pytest.mark.parametrize("override", ["width=abc", 'nfe="x"', "epochs=1.5",
+                                      "checkpoint_every=0", "n_samples=0"])
+def test_exit_3_bad_config_override(tmp_path, capsys, override):
+    data = _gen_ring(tmp_path)
+    cfg = _write_config(tmp_path, data)
+    rc = main(["train", "--config", str(cfg), "--set", override])
+    assert rc == 3
+    assert _stderr_error(capsys)["error"] == "ConfigError"
+    assert not (tmp_path / "run").exists()  # refused before anything is written
+
+
+def test_exit_3_malformed_config(tmp_path, capsys):
+    cfg = tmp_path / "c.json"
+    cfg.write_text('{"variant": "VMF",')
+    assert main(["train", "--config", str(cfg)]) == 3
+    assert _stderr_error(capsys)["error"] == "ConfigError"
+
+
+@pytest.mark.parametrize("n", ["0", "-2"])
+def test_exit_3_sample_count(trained_run, capsys, n):
+    out = trained_run / f"none{n}.jsonl"
+    rc = main(["sample", "--run", str(trained_run / "run"), "--n", n,
+               "--out", str(out)])
+    assert rc == 3
+    assert _stderr_error(capsys)["error"] == "SampleError"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("split", ["a,b", "3,1.5"])
+def test_exit_3_mask_split(tmp_path, capsys, split):
+    rc = main(["mask", "--sample-len", "4", "--cond-len", "1",
+               "--latent-len", "1", "--split", split,
+               "--out", str(tmp_path / "m")])
+    assert rc == 3
+    assert _stderr_error(capsys)["error"] == "MaskError"
+
+
+def _latent_rows(n=6):
+    rng = np.random.default_rng(1)
+    return [json.dumps({"latent": rng.standard_normal((2, 30)).tolist(),
+                        "condition_id": i}) for i in range(n)]
+
+
+def _jsonl_cases(tmp_path):
+    gaps = tmp_path / "gaps.jsonl"
+    gaps.write_text("\n" + "\n\n".join(_latent_rows()) + "\n  \n")
+    broken = tmp_path / "broken.jsonl"
+    broken.write_text("\n".join(_latent_rows(2) + ['{"latent": [1,']) + "\n")
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("\n \n")
+    return gaps, broken, empty
+
+
+def _run_reader(cmd, path, tmp_path):
+    if cmd == "eval":
+        return main(["eval", "--samples", str(path), "--references", str(path),
+                     "--out", str(tmp_path / "out.json")])
+    return main(["granger", "--latents", str(path), "--out", str(tmp_path / "out.json")])
+
+
+@pytest.mark.parametrize("cmd", ["eval", "granger"])
+def test_jsonl_reader_through_cli(tmp_path, capsys, cmd):
+    gaps, broken, empty = _jsonl_cases(tmp_path)
+    assert _run_reader(cmd, gaps, tmp_path) == 0  # blank lines skipped
+    if cmd == "eval":
+        assert json.loads((tmp_path / "out.json").read_text())["n_samples"] == 6
+    else:
+        assert sum(json.loads((tmp_path / "out.json").read_text())["bins"].values()) == 6
+    capsys.readouterr()
+    assert _run_reader(cmd, broken, tmp_path) == 3
+    info = _stderr_error(capsys)
+    assert info["error"] == "DatasetError"
+    assert "broken.jsonl:3: bad dataset row" in info["message"]
+    assert _run_reader(cmd, empty, tmp_path) == 3
+    info = _stderr_error(capsys)
+    assert info["error"] == "DatasetError" and "empty" in info["message"]

@@ -1,6 +1,8 @@
 """Variant constraint enforcement and config round trips."""
+import dataclasses
 import json
 
+import numpy as np
 import pytest
 
 from vmflow.config import (ConfigError, RunConfig, VariantError,
@@ -65,9 +67,35 @@ def test_range_checks():
                 dict(p_inference_layout=-0.1), dict(decay_factor=0.0),
                 dict(decay_factor=1.2), dict(time_sampling="beta"),
                 dict(nfe=0), dict(disp_block=9), dict(batch_size=0),
-                dict(p_equal=1.5)):
+                dict(p_equal=1.5), dict(checkpoint_every=0), dict(n_samples=0),
+                dict(n_samples=-2)):
         with pytest.raises(ConfigError):
             RunConfig(variant="VMF", **bad)
+
+
+# a wrong-typed value for each kind of field; int fields refuse bools
+_WRONG = {"int": [1.5, True, "3", None], "float": ["0.1", True, None],
+          "bool": [1, "true", None], "str": [3, None]}
+
+
+@pytest.mark.parametrize("field", dataclasses.fields(RunConfig), ids=lambda f: f.name)
+def test_field_types_checked(field):
+    err = VariantError if field.name == "variant" else ConfigError
+    for bad in _WRONG[field.type]:
+        with pytest.raises(err, match=field.name):
+            RunConfig(**{field.name: bad})
+
+
+def test_field_types_accept_numeric_kinds():
+    cfg = RunConfig(variant="VMF", lr=1, tau=np.float32(0.5), epochs=np.int64(3))
+    assert cfg.lr == 1 and cfg.tau == 0.5 and cfg.epochs == 3
+
+
+def test_malformed_json_is_config_error(tmp_path):
+    path = tmp_path / "c.json"
+    path.write_text('{"variant": "VMF", "width": ')
+    with pytest.raises(ConfigError, match="bad JSON"):
+        load_config(str(path))
 
 
 def test_unknown_key_rejected():

@@ -1,5 +1,7 @@
 """Dataset oracles: CLT bounds on mixture draws, exact codec round trips,
 noise margins from the measured codeword gap, JSONL persistence."""
+import json
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from vmflow.datasets import (DatasetError, GmmSpec, SequenceCodec,
                              ToySequenceSpec, dominant_token,
                              label_conditions, load_dataset_jsonl,
                              make_gmm_dataset, make_sequence_dataset,
-                             ring_spec, save_dataset_jsonl)
+                             read_jsonl, ring_spec, save_dataset_jsonl)
 from vmflow.rng import make_rng
 
 
@@ -162,3 +164,23 @@ def test_jsonl_errors(tmp_path):
     empty.write_text("")
     with pytest.raises(DatasetError, match="empty"):
         load_dataset_jsonl(str(empty))
+    blank = tmp_path / "blank.jsonl"
+    blank.write_text("\n  \n")
+    with pytest.raises(DatasetError, match="empty"):
+        load_dataset_jsonl(str(blank))
+    broken = tmp_path / "broken.jsonl"
+    broken.write_text('\n{"x": [[1.0]], "c": [[0.0]]}\n{"x": [[1.0]\n')
+    with pytest.raises(DatasetError, match="broken.jsonl:3: bad dataset row"):
+        load_dataset_jsonl(str(broken))
+    with pytest.raises(DatasetError, match="broken.jsonl:3: bad dataset row"):
+        read_jsonl(broken)
+
+
+def test_jsonl_skips_blank_lines(tmp_path):
+    path = tmp_path / "gaps.jsonl"
+    rows = [{"x": [[float(i)]], "c": [[1.0, 2.0]], "meta": {"i": i}} for i in range(3)]
+    path.write_text("\n" + "\n\n".join(json.dumps(r) for r in rows) + "\n  \n")
+    assert read_jsonl(path) == rows
+    x, c, meta = load_dataset_jsonl(str(path))
+    assert x.shape == (3, 1, 1) and c.shape == (3, 1, 2)
+    assert [m["i"] for m in meta] == [0, 1, 2]

@@ -5,9 +5,8 @@ import pytest
 
 from vmflow.datasets import make_gmm_dataset, ring_spec
 from vmflow.metrics import (_BLOCK, MetricError, MetricReport,
-                            conditional_metrics, cosine_sim, histogram_kl,
-                            kl_score, mode_coverage, paired_cosine,
-                            unconditional_metrics)
+                            conditional_metrics, cosine_sim, mode_coverage,
+                            paired_cosine)
 from vmflow.rng import make_rng
 
 
@@ -194,71 +193,6 @@ def test_matrix_path_flattens_gen_rows_against_flat_refs():
     gen = list(np.abs(rng.standard_normal((30, 3, 4))))  # [L, D] per sample
     ref = list(np.abs(rng.standard_normal((30, 12))))    # [L * D]
     _assert_paths_agree(gen, ref)
-
-
-# ---------------------------------------------------------------------------
-# unconditional
-
-def test_histogram_kl_hand_value():
-    got = histogram_kl([0.5, 0.5], [0.25, 0.75])
-    want = 0.5 * np.log(2.0) + 0.5 * np.log(2.0 / 3.0)
-    assert abs(got - want) < 1e-4
-    assert abs(np.exp(-got) * 100.0 - 86.6) < 0.05
-
-
-def test_kl_score_identical_is_hundred():
-    rng = make_rng(4)
-    feats = rng.standard_normal((500, 2))
-    assert kl_score(feats, feats.copy()) > 99.99
-
-
-def test_kl_score_separated_is_low():
-    rng = make_rng(5)
-    a = rng.standard_normal((500, 1))
-    b = rng.standard_normal((500, 1)) + 10.0
-    assert kl_score(a, b) < 5.0
-
-
-def test_kl_score_constant_feature():
-    a = np.zeros((50, 1))
-    assert kl_score(a, a.copy()) > 99.99
-
-
-def test_unconditional_hand_values():
-    train = ["a", "b", "c", "d"]
-    tf = np.arange(4.0)[:, None]
-    # generated equals training set: novelty 0, kl ~ 100
-    rep = unconditional_metrics(train, train, tf, tf)
-    assert rep.metrics["novelty"] == 0.0
-    assert rep.metrics["kl_score"] > 99.99
-    assert rep.metrics["uniqueness"] == 100.0
-    # all identical: uniqueness (1/n) * 100
-    rep = unconditional_metrics(["z"] * 8, train, np.zeros((8, 1)), tf)
-    assert abs(rep.metrics["uniqueness"] - 100.0 / 8.0) < 1e-9
-    assert rep.metrics["novelty"] == 100.0
-
-
-def test_unconditional_permutation_invariant():
-    rng = make_rng(6)
-    keys = [str(i % 5) for i in range(20)]
-    feats = rng.standard_normal((20, 2))
-    rep = unconditional_metrics(keys, ["0", "9"], feats, feats + 0.1)
-    perm = rng.permutation(20)
-    rep2 = unconditional_metrics([keys[i] for i in perm], ["0", "9"],
-                                 feats[perm], feats + 0.1)
-    for k in rep.metrics:
-        assert abs(rep.metrics[k] - rep2.metrics[k]) < 1e-9
-
-
-def test_unconditional_errors():
-    with pytest.raises(MetricError):
-        unconditional_metrics([], ["a"], np.zeros((0, 1)), np.zeros((1, 1)))
-    with pytest.raises(MetricError):
-        unconditional_metrics(["a"], [], np.zeros((1, 1)), np.zeros((0, 1)))
-    with pytest.raises(MetricError):
-        histogram_kl([0.5, 0.5], [0.25, 0.5, 0.25])
-    with pytest.raises(MetricError):
-        histogram_kl([-0.1, 1.1], [0.5, 0.5])
 
 
 # ---------------------------------------------------------------------------

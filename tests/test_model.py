@@ -4,7 +4,7 @@ import pytest
 
 from vmflow import tensor as T
 from vmflow.mask import AttentionMask, GroupSplit, build_mask, single_group_mask
-from vmflow.model import (ModelDims, SequenceLayout, embed_time, init_theta,
+from vmflow.model import (ModelDims, embed_time, init_theta,
                           null_condition_tokens, theta_forward)
 from vmflow.rng import make_rng, normal_f32
 from vmflow.tensor import ShapeError, Tensor
