@@ -170,6 +170,7 @@ def _cmd_sample(args) -> int:
         for i in range(n):
             row = {"id": i, "condition_id": int(ids[i]),
                    "latent": [float(v) for v in result.x[i].ravel()],
+                   "latent_shape": list(result.x.shape[1:]),
                    "decoded": decode(result.x[i]),
                    "nfe": nfe, "w": w, "seed": cfg.seed}
             fh.write(json.dumps(row) + "\n")
@@ -246,11 +247,22 @@ def _cmd_mask(args) -> int:
     return 0
 
 
+def _granger_latent(row: dict, path):
+    """A row's latent, reshaped to its latent_shape when it has one, as the
+    flat rows `vmflow sample` writes do."""
+    latent = row.get("latent")
+    if latent is None:
+        raise GrangerError(f"{path}: every row needs a 'latent' field")
+    if "latent_shape" not in row:
+        return latent
+    try:
+        return np.reshape(np.asarray(latent, dtype=np.float64), row["latent_shape"])
+    except (TypeError, ValueError) as e:
+        raise GrangerError(f"{path}: latent does not fit its latent_shape ({e})") from None
+
+
 def _cmd_granger(args) -> int:
-    rows = read_jsonl(args.latents)
-    payload = [row.get("latent") for row in rows]
-    if any(p is None for p in payload):
-        raise GrangerError(f"{args.latents}: every row needs a 'latent' field")
+    payload = [_granger_latent(row, args.latents) for row in read_jsonl(args.latents)]
     try:
         arr = np.asarray(payload, dtype=np.float64)
     except ValueError as e:

@@ -227,7 +227,8 @@ def save_dataset_jsonl(path: str, x: np.ndarray, c: np.ndarray,
 
 def read_jsonl(path) -> list[dict]:
     """Every non-blank line of a JSONL file, parsed. Raises DatasetError
-    naming path:line on bad JSON, and when the file has no rows."""
+    naming path:line on bad JSON or a row that is not an object, and when
+    the file has no rows."""
     rows = []
     with open(path) as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -235,9 +236,13 @@ def read_jsonl(path) -> list[dict]:
             if not line:
                 continue
             try:
-                rows.append(json.loads(line))
+                row = json.loads(line)
             except json.JSONDecodeError as e:
                 raise DatasetError(f"{path}:{line_no}: bad dataset row ({e})")
+            if not isinstance(row, dict):
+                raise DatasetError(f"{path}:{line_no}: bad dataset row (expected "
+                                   f"a JSON object, got {type(row).__name__})")
+            rows.append(row)
     if not rows:
         raise DatasetError(f"{path}: empty dataset")
     return rows
@@ -250,6 +255,11 @@ def load_dataset_jsonl(path: str) -> tuple[np.ndarray, np.ndarray, list[dict]]:
             xs.append(np.asarray(row["x"], dtype=_F32))
             cs.append(np.asarray(row["c"], dtype=_F32))
             meta.append(row.get("meta", {}))
-        except (KeyError, TypeError) as e:
+        except (KeyError, TypeError, ValueError) as e:
             raise DatasetError(f"{path}: row {i}: bad dataset row ({e})")
+    for name, arrs in (("x", xs), ("c", cs)):
+        for i, a in enumerate(arrs, start=1):
+            if a.shape != arrs[0].shape:
+                raise DatasetError(f"{path}: row {i}: {name} has shape {a.shape}, "
+                                   f"row 1 has {arrs[0].shape}")
     return np.stack(xs), np.stack(cs), meta

@@ -104,7 +104,7 @@ def _time_column(x, name: str) -> Tensor:
     t = _ensure(x, name)
     if t.ndim > 2 or (t.ndim == 2 and t.shape[1] != 1):
         raise ShapeError("theta_forward", f"{name} must be scalar or [batch], got {t.shape}")
-    return T.reshape(t, (-1, 1))
+    return t if t.ndim == 2 else T.reshape(t, (-1, 1))
 
 
 def embed_time(t, r, params: dict[str, Tensor], dims: ModelDims) -> Tensor:
@@ -128,7 +128,7 @@ def null_condition_tokens(params: dict[str, Tensor], batch: int, cond_len: int,
                           dims: ModelDims) -> Tensor:
     """c_null tiled to [batch, cond_len, cond_dim]; gradient reaches c_null."""
     tile = Tensor(np.ones((batch, cond_len, 1), dtype=_F32))
-    return tile * T.reshape(params["theta/c_null"], (1, 1, dims.cond_dim))
+    return tile * params["theta/c_null"]
 
 
 def _attention(x: Tensor, blocked: np.ndarray, params, prefix: str,
@@ -136,12 +136,12 @@ def _attention(x: Tensor, blocked: np.ndarray, params, prefix: str,
     b, s, w = x.shape
     hd = w // dims.heads
 
-    def heads(m):
+    def heads(m, axes=(0, 2, 1, 3)):
         proj = T.matmul(x, params[f"{prefix}/{m}"])
-        return T.transpose(T.reshape(proj, (b, s, dims.heads, hd)), (0, 2, 1, 3))
+        return T.transpose(T.reshape(proj, (b, s, dims.heads, hd)), axes)
 
-    q, k, v = heads("wq"), heads("wk"), heads("wv")
-    scores = T.matmul(q, T.transpose(k, (0, 1, 3, 2))) * _F32(1.0 / np.sqrt(hd))
+    q, k_t, v = heads("wq"), heads("wk", (0, 2, 3, 1)), heads("wv")  # k_t: [b, h, hd, s]
+    scores = T.matmul(q, k_t) * _F32(1.0 / np.sqrt(hd))
     scores = T.masked_fill(scores, blocked[None, None, :, :], -1e9)
     att = T.softmax(scores, axis=-1)
     out = T.transpose(T.matmul(att, v), (0, 2, 1, 3))
@@ -154,7 +154,11 @@ def theta_forward(params: dict[str, Tensor], dims: ModelDims, c, h, x_p, z,
     """Predict u over the z segment; optionally also return mid-layer z reps.
 
     c, x_p, z: [B, len, dim] (x_p and h may be None for zero-length segments).
-    t, r: scalar or [B], 0 <= r <= t <= 1. Output matches z's shape.
+    t, r: scalar, [B] or [B, 1] columns, 0 <= r <= t <= 1; a column is used
+    as it is, with its tangent. Output matches z's shape. With collect_block
+    k, returns (u, reps): the mean over the z positions of block k's output,
+    [B, width]. flow_loss collects them only when beta > 0, since only the
+    dispersive term reads them.
     """
     z = _ensure(z, "z")
     if z.ndim != 3 or z.shape[1] == 0:
@@ -184,7 +188,7 @@ def theta_forward(params: dict[str, Tensor], dims: ModelDims, c, h, x_p, z,
     embedded = []
     for name, tok in segments:
         e = T.linear(tok, params[f"theta/embed_{name}/w"], params[f"theta/embed_{name}/b"])
-        e = e + T.reshape(params[f"theta/seg/{name}"], (1, 1, dims.width))
+        e = e + params[f"theta/seg/{name}"]
         if name == "z":
             e = e + time_emb  # temporal information enters through z only
         embedded.append(e)

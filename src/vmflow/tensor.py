@@ -365,9 +365,7 @@ def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     tan = None if a.tangent is None else a.tangent.sum(axis=axis, keepdims=keepdims, dtype=_F32)
 
     def vjp(g):
-        if axis is None:
-            return (np.broadcast_to(g, a.shape).astype(_F32),)
-        if not keepdims:
+        if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
         return (np.broadcast_to(g, a.shape).astype(_F32),)
 

@@ -169,7 +169,11 @@ def draw_step_randomness(cfg: RunConfig, dims: ModelDims, bsz: int,
 def flow_loss(params: dict[str, Tensor], dims: ModelDims, cfg: RunConfig,
               batch: FlowBatch, split: GroupSplit,
               draws: StepDraws) -> tuple[Tensor, LossReport]:
-    """Composite loss as a graph Tensor, deterministic given the draws."""
+    """Composite loss as a graph Tensor, deterministic given the draws.
+
+    The JVP takes r and t as [B, 1] columns, so no op reshapes them, and
+    asks theta_forward for the dispersive reps only when beta > 0.
+    """
     bsz, sample_len, _ = batch.x.shape
     cond_len = batch.c.shape[1]
     variational = dims.latent_tokens > 0
@@ -179,36 +183,35 @@ def flow_loss(params: dict[str, Tensor], dims: ModelDims, cfg: RunConfig,
     mask = build_mask(sample_len, cond_len, dims.latent_tokens, split)
     x_p = batch.x[:, :mask.visible_len] if mask.visible_len else None
 
-    dmask = Tensor(draws.drop.astype(_F32).reshape(bsz, 1, 1))
-    c_used = (null_condition_tokens(params, bsz, cond_len, dims) * dmask
-              + Tensor(batch.c) * (1.0 - dmask))
+    dmask = draws.drop.astype(_F32).reshape(bsz, 1, 1)  # constant: no graph op
+    c_used = (null_condition_tokens(params, bsz, cond_len, dims) * Tensor(dmask)
+              + Tensor(batch.c * (_F32(1.0) - dmask)))
+    collect = cfg.disp_block if cfg.beta > 0 else None
 
-    def f(z_t, r_t, t_t):
+    def f(z_t, r_t, t_t):  # -> (u, [reps,] [mu, log_var])
+        h_tok, enc_out = None, ()
         if variational:
             enc = phi_forward(params, dims, c_used, batch.eps, batch.x, z_t,
                               r_t, t_t, noise=draws.reparam)
             h_tok = (Tensor(draws.h_prior) if draws.h_prior is not None
                      else T.reshape(enc.h, (bsz, 1, dims.latent_dim)))
-            u, reps = theta_forward(params, dims, c_used, h_tok, x_p, z_t, mask,
-                                    t_t, r_t, collect_block=cfg.disp_block)
-            return u, reps, enc.mu, enc.log_var
-        u, reps = theta_forward(params, dims, c_used, None, x_p, z_t, mask,
-                                t_t, r_t, collect_block=cfg.disp_block)
-        return u, reps
+            enc_out = (enc.mu, enc.log_var)
+        out = theta_forward(params, dims, c_used, h_tok, x_p, z_t, mask,
+                            t_t, r_t, collect_block=collect)
+        return (*out, *enc_out) if collect is not None else (out, *enc_out)
 
-    outs, tans = T.jvp(f, (batch.z, batch.r, batch.t),
-                       (batch.v, None, np.ones_like(batch.t)))
-    u, reps = outs[0], outs[1]
+    outs, tans = T.jvp(f, (batch.z, batch.r[:, None], batch.t[:, None]),
+                       (batch.v, None, np.ones((bsz, 1), dtype=_F32)))
     u_t = mean_flow_target(batch.v, batch.t, batch.r, tans[0])
-    res = u - Tensor(u_t)
+    res = outs[0] - Tensor(u_t)
     sse = T.tsum(res * res, axis=(1, 2))
     if cfg.adaptive_l2:
         w = np.power(sse.data + _F32(1e-3), _F32(-0.5))
         l2 = T.tmean(sse * Tensor(w))
     else:
         l2 = T.tmean(sse)
-    kl = kl_loss(outs[2], outs[3]) if variational else Tensor(0.0)
-    disp = dispersive_loss(reps, cfg.tau) if cfg.beta > 0 else Tensor(0.0)
+    kl = kl_loss(outs[-2], outs[-1]) if variational else Tensor(0.0)
+    disp = dispersive_loss(outs[1], cfg.tau) if collect is not None else Tensor(0.0)
     total = l2 + kl * cfg.alpha + disp * cfg.beta
 
     report = LossReport(

@@ -386,3 +386,58 @@ def test_jsonl_reader_through_cli(tmp_path, capsys, cmd):
     assert _run_reader(cmd, empty, tmp_path) == 3
     info = _stderr_error(capsys)
     assert info["error"] == "DatasetError" and "empty" in info["message"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--samples", "{rows}", "--references", "{rows}", "--pair", "order"],
+    ["granger", "--latents", "{rows}"],
+])
+def test_exit_3_non_object_row(tmp_path, capsys, argv):
+    rows = tmp_path / "rows.jsonl"
+    rows.write_text("\n".join(_latent_rows(2) + ["[1, 2]"]) + "\n")
+    out = tmp_path / "out.json"
+    rc = main([a.format(rows=rows) for a in argv] + ["--out", str(out)])
+    assert rc == 3
+    info = _stderr_error(capsys)
+    assert info["error"] == "DatasetError"
+    assert "rows.jsonl:3: bad dataset row" in info["message"]
+    assert not out.exists()
+
+
+def test_exit_3_train_ragged_dataset(tmp_path, capsys):
+    data = tmp_path / "ragged.jsonl"
+    data.write_text("".join(json.dumps({"x": x, "c": [[0.0, 1.0]]}) + "\n"
+                            for x in ([[1.0, 0.0]], [[1.0, 0.0]], [[1.0]])))
+    rc = main(["train", "--config", str(_write_config(tmp_path, data))])
+    assert rc == 3
+    info = _stderr_error(capsys)
+    assert info["error"] == "DatasetError"
+    assert "row 3: x has shape (1, 1), row 1 has (1, 2)" in info["message"]
+
+
+def test_sample_then_granger_on_sequences_run(tmp_path):
+    data = tmp_path / "seqs.jsonl"
+    assert main(["gen-data", "--domain", "sequences", "--out", str(data),
+                 "--n-sequences", "16", "--length", "4", "--dim", "8"]) == 0
+    cfg = _write_config(tmp_path, data, epochs=1)
+    assert main(["train", "--config", str(cfg)]) == 0
+    samples = tmp_path / "samples.jsonl"
+    assert main(["sample", "--run", str(tmp_path / "run"), "--n", "5",
+                 "--out", str(samples)]) == 0
+    hist = tmp_path / "hist.json"
+    assert main(["granger", "--latents", str(samples), "--max-lag", "1",
+                 "--out", str(hist)]) == 0
+    rows = _read_jsonl(samples)
+    assert all(r["latent_shape"] == [4, 8] and len(r["latent"]) == 32 for r in rows)
+    rep = json.loads(hist.read_text())
+    assert rep["n_samples"] == 5
+    assert sum(rep["bins"].values()) == 5 and rep["skipped_samples"] == 0
+
+
+def test_exit_3_granger_latent_shape_mismatch(tmp_path, capsys):
+    path = tmp_path / "lat.jsonl"
+    path.write_text(json.dumps({"latent": [0.0] * 6, "latent_shape": [4, 2]}) + "\n")
+    rc = main(["granger", "--latents", str(path), "--out", str(tmp_path / "h.json")])
+    assert rc == 3
+    info = _stderr_error(capsys)
+    assert info["error"] == "GrangerError" and "latent_shape" in info["message"]

@@ -184,3 +184,32 @@ def test_jsonl_skips_blank_lines(tmp_path):
     x, c, meta = load_dataset_jsonl(str(path))
     assert x.shape == (3, 1, 1) and c.shape == (3, 1, 2)
     assert [m["i"] for m in meta] == [0, 1, 2]
+
+
+@pytest.mark.parametrize("line", ["[1, 2]", "3", '"x"', "null"])
+def test_jsonl_refuses_non_object_rows(tmp_path, line):
+    path = tmp_path / "rows.jsonl"
+    path.write_text('{"x": [[1.0]], "c": [[0.0]]}\n\n' + line + "\n")
+    for read in (read_jsonl, load_dataset_jsonl):
+        with pytest.raises(DatasetError, match="rows.jsonl:3: bad dataset row"):
+            read(str(path))
+
+
+@pytest.mark.parametrize("field,rows,bad", [
+    ("x", [[[1.0]], [[1.0]], [[1.0, 2.0]]], 3),
+    ("x", [[[1.0]], [[1.0], [2.0]]], 2),
+    ("c", [[[0.0, 1.0]], [[0.0]]], 2),
+])
+def test_jsonl_names_first_ragged_row(tmp_path, field, rows, bad):
+    path = tmp_path / "ragged.jsonl"
+    other = "c" if field == "x" else "x"
+    path.write_text("".join(json.dumps({field: v, other: [[1.0]]}) + "\n" for v in rows))
+    with pytest.raises(DatasetError, match=f"row {bad}: {field} has shape"):
+        load_dataset_jsonl(str(path))
+
+
+def test_jsonl_row_ragged_inside(tmp_path):
+    path = tmp_path / "inner.jsonl"
+    path.write_text(json.dumps({"x": [[1.0], [1.0, 2.0]], "c": [[0.0]]}) + "\n")
+    with pytest.raises(DatasetError, match="row 1: bad dataset row"):
+        load_dataset_jsonl(str(path))

@@ -580,3 +580,57 @@ def test_train_model_resume_continues():
                                    start_epoch=2)
     assert opt2.step_count == n_steps + 4  # two more epochs, two steps each
     assert params2 is params
+
+
+# ---------------------------------------------------------------------------
+# graph size: a step states each view once and builds nothing no loss reads
+
+def _graph_nodes(root):
+    """Recorded nodes reachable from root through _parents, by VJP name."""
+    ops, seen, stack = {}, set(), [root]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        if node._vjp is not None:
+            op = node._vjp.__qualname__.split(".")[0].lstrip("_")
+            ops[op] = ops.get(op, 0) + 1
+        stack.extend(node._parents)
+    return ops
+
+
+# c07 and c08 model dims; c07's one-token rows are widened to two so that
+# the split can have two groups
+GRAPH_DIMS = {"c07": (dict(width=12, latent_dim=4), 2, 2, 4),
+              "c08": (dict(width=24, latent_dim=8), 4, 8, 8)}
+
+
+@pytest.mark.parametrize("at", sorted(GRAPH_DIMS))
+@pytest.mark.parametrize("variant,nodes,executed", [
+    ("VMF", 100, 115), ("MF", 73, 83), ("VMFD", 119, 133)])
+def test_step_graph_size(monkeypatch, at, variant, nodes, executed):
+    kw, L, D, Dc = GRAPH_DIMS[at]
+    cfg = RunConfig(variant=variant, heads=2, blocks=2, time_freqs=8,
+                    phi_hidden=32, **kw)
+    rng = make_rng(0)
+    bsz = 8
+    x, c = normal_f32(rng, (bsz, L, D)), normal_f32(rng, (bsz, 1, Dc))
+    dims = dims_for(cfg, Dc, D)
+    params = init_params(rng, dims)
+    batch = make_flow_batch(x, c, rng, cfg)
+    draws = StepDraws(False, np.arange(bsz) % 3 == 0, None,
+                      normal_f32(rng, (bsz, dims.latent_dim)) if dims.latent_tokens else None)
+    made = []
+    make = T._make
+    monkeypatch.setattr(T, "_make", lambda *a: made.append(a) or make(*a))
+    total, _ = flow_loss(params, dims, cfg, batch, GroupSplit((L // 2, L - L // 2)), draws)
+    ops = _graph_nodes(total)
+    assert sum(ops.values()) == nodes, ops
+    assert len(made) == executed
+    # the views left: per block, the q, k and v head splits and the merge
+    # (k's transposed once); the time embedding's and the latent token's
+    # [B, 1, width] views; the dispersive loss's own
+    disp = cfg.beta > 0
+    assert ops["reshape"] == 4 * dims.blocks + 1 + dims.latent_tokens + 2 * disp
+    assert ops["transpose"] == 4 * dims.blocks + disp
