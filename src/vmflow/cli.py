@@ -9,6 +9,7 @@ otherwise. The VMFLOW_SEED environment variable overrides the config seed.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -112,11 +113,7 @@ def _cmd_train(args) -> int:
     # a resumed run continues the log of the run it resumes
     with open(out / "train.log.jsonl", "a" if args.resume else "w") as log_fh:
         def log_fn(step, rep):
-            row = {"step": step, "l2": rep.l2, "kl": rep.kl,
-                   "dispersive": rep.dispersive, "total": rep.total,
-                   "t_mean": rep.t_mean, "r_mean": rep.r_mean,
-                   "wallclock_ms": rep.wallclock_ms}
-            log_fh.write(json.dumps(row) + "\n")
+            log_fh.write(json.dumps({"step": step, **dataclasses.asdict(rep)}) + "\n")
 
         def checkpoint_fn(epoch, cur_params, cur_opt):
             tensors = _checkpoint_tensors(cur_params, cur_opt, epoch)

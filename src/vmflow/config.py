@@ -31,7 +31,6 @@ _UNSET = -1.0
 _FIELD_TYPES = {
     "int": lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool),
     "float": lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool),
-    "bool": lambda v: isinstance(v, bool),
     "str": lambda v: isinstance(v, str),
 }
 
@@ -58,7 +57,6 @@ class RunConfig:
     time_sampling: str = "uniform"   # or "lognormal"
     lognorm_mean: float = -0.4
     lognorm_std: float = 1.0
-    adaptive_l2: bool = False
     cond_dropout: float = 0.1
     p_inference_layout: float = 0.1
     decay_factor: float = 0.9
@@ -139,6 +137,10 @@ class RunConfig:
 
 
 def config_from_dict(raw: dict) -> RunConfig:
+    # configs saved before the adaptive L2 weight was removed store it as false
+    if raw.get("adaptive_l2", False) is not False:
+        raise ConfigError("adaptive_l2 is no longer supported; it may only be false")
+    raw = {k: v for k, v in raw.items() if k != "adaptive_l2"}
     known = {f.name for f in dataclasses.fields(RunConfig)}
     unknown = set(raw) - known
     if unknown:

@@ -172,14 +172,15 @@ def latent_causality_report(latents, max_lag: int = 1) -> dict:
     latents: [n, groups, series_len] (trailing axis is time), or
     [n, groups, series_len, dim] pooled by mean over dim. Pairs whose
     test degenerates are skipped and counted; a sample with no testable
-    pair is counted under skipped_samples.
+    pair is counted under skipped_samples. GrangerError if no sample has
+    one: a series needs 3 * max_lag + 5 points, and variance.
     """
     arr = np.asarray(latents, dtype=np.float64)
     if arr.ndim == 4:
         arr = arr.mean(axis=3)
     if arr.ndim != 3:
         raise GrangerError(f"latents must be 3- or 4-dimensional, got {arr.ndim}")
-    n, groups, _ = arr.shape
+    n, groups, series_len = arr.shape
     if groups < 2:
         raise GrangerError("need at least 2 groups")
 
@@ -204,5 +205,9 @@ def latent_causality_report(latents, max_lag: int = 1) -> dict:
             continue
         idx = int(np.searchsorted(P_BIN_EDGES, min_p, side="right"))
         counts[P_BIN_LABELS[idx]] += 1
+    if skipped_samples == n:
+        raise GrangerError(f"no sample has a testable group pair: a series needs "
+                           f"3 * max_lag + 5 = {3 * max_lag + 5} points with "
+                           f"variance, these have {series_len}")
     return {"bins": counts, "n_samples": n, "max_lag": max_lag,
             "skipped_pairs": skipped_pairs, "skipped_samples": skipped_samples}

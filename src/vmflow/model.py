@@ -124,8 +124,7 @@ def embed_time(t, r, params: dict[str, Tensor], dims: ModelDims) -> Tensor:
     return T.linear(hdn, params["theta/time/w2"], params["theta/time/b2"])
 
 
-def null_condition_tokens(params: dict[str, Tensor], batch: int, cond_len: int,
-                          dims: ModelDims) -> Tensor:
+def null_condition_tokens(params: dict[str, Tensor], batch: int, cond_len: int) -> Tensor:
     """c_null tiled to [batch, cond_len, cond_dim]; gradient reaches c_null."""
     tile = Tensor(np.ones((batch, cond_len, 1), dtype=_F32))
     return tile * params["theta/c_null"]
@@ -155,10 +154,10 @@ def theta_forward(params: dict[str, Tensor], dims: ModelDims, c, h, x_p, z,
 
     c, x_p, z: [B, len, dim] (x_p and h may be None for zero-length segments).
     t, r: scalar, [B] or [B, 1] columns, 0 <= r <= t <= 1; a column is used
-    as it is, with its tangent. Output matches z's shape. With collect_block
-    k, returns (u, reps): the mean over the z positions of block k's output,
-    [B, width]. flow_loss collects them only when beta > 0, since only the
-    dispersive term reads them.
+    as it is, with its tangent. r <= t is checked here, the range by
+    embed_time. Output matches z's shape. With collect_block k, returns
+    (u, reps): the mean over the z positions of block k's output,
+    [B, width].
     """
     z = _ensure(z, "z")
     if z.ndim != 3 or z.shape[1] == 0:
@@ -167,8 +166,8 @@ def theta_forward(params: dict[str, Tensor], dims: ModelDims, c, h, x_p, z,
 
     tc = _time_column(t, "t")
     rc = _time_column(r, "r")
-    if np.any(rc.data > tc.data) or np.any(rc.data < 0.0) or np.any(tc.data > 1.0):
-        raise ShapeError("theta_forward", "need 0 <= r <= t <= 1 elementwise")
+    if np.any(rc.data > tc.data):  # embed_time checks that both lie in [0, 1]
+        raise ShapeError("theta_forward", "need r <= t elementwise")
 
     segments = []
     for name, tok in (("c", c), ("h", h), ("xp", x_p)):

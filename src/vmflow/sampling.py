@@ -52,17 +52,13 @@ class ModelField:
         self.dims = dims
         self.h = None if h is None else Tensor(h)
         self.calls = 0
-        self._masks = {}
 
     def __call__(self, c: np.ndarray, z: np.ndarray, r: np.ndarray,
                  t: np.ndarray) -> np.ndarray:
-        key = (z.shape[1], c.shape[1])
-        if key not in self._masks:
-            self._masks[key] = single_group_mask(z.shape[1], c.shape[1],
-                                                 self.dims.latent_tokens)
+        mask = single_group_mask(z.shape[1], c.shape[1], self.dims.latent_tokens)
         consts = {k: detach(p) for k, p in self.params.items()}
         u = theta_forward(consts, self.dims, Tensor(c), self.h, None,
-                          Tensor(z), self._masks[key], t, r)
+                          Tensor(z), mask, t[:, None], r[:, None])
         self.calls += 1
         if not np.all(np.isfinite(u.data)):
             raise SampleError("non-finite model output")

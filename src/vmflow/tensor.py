@@ -341,7 +341,10 @@ def concat(tensors, axis: int) -> Tensor:
     tensors = [_wrap(t) for t in tensors]
     if not tensors:
         raise ShapeError("concat", "empty input list")
-    data = np.concatenate([t.data for t in tensors], axis=axis)
+    try:
+        data = np.concatenate([t.data for t in tensors], axis=axis)
+    except ValueError:
+        raise ShapeError("concat", f"shapes {[t.shape for t in tensors]} on axis {axis}") from None
     if any(t.tangent is not None for t in tensors):
         tan = np.concatenate(
             [t.tangent if t.tangent is not None else np.zeros_like(t.data)

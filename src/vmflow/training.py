@@ -130,9 +130,6 @@ class LossReport:
     kl: float
     dispersive: float
     total: float
-    alpha: float
-    beta: float
-    tau: float
     t_mean: float = 0.0
     r_mean: float = 0.0
     wallclock_ms: float = 0.0
@@ -171,12 +168,11 @@ def flow_loss(params: dict[str, Tensor], dims: ModelDims, cfg: RunConfig,
               draws: StepDraws) -> tuple[Tensor, LossReport]:
     """Composite loss as a graph Tensor, deterministic given the draws.
 
-    The JVP takes r and t as [B, 1] columns, so no op reshapes them, and
-    asks theta_forward for the dispersive reps only when beta > 0.
+    z carries the tangent v and the [B, 1] column t a tangent of ones, so u's
+    tangent is du/dt. The dispersive reps are collected only when beta > 0.
     """
     bsz, sample_len, _ = batch.x.shape
     cond_len = batch.c.shape[1]
-    variational = dims.latent_tokens > 0
 
     if draws.inference_layout:
         split = GroupSplit((sample_len,))
@@ -184,40 +180,34 @@ def flow_loss(params: dict[str, Tensor], dims: ModelDims, cfg: RunConfig,
     x_p = batch.x[:, :mask.visible_len] if mask.visible_len else None
 
     dmask = draws.drop.astype(_F32).reshape(bsz, 1, 1)  # constant: no graph op
-    c_used = (null_condition_tokens(params, bsz, cond_len, dims) * Tensor(dmask)
+    c_used = (null_condition_tokens(params, bsz, cond_len) * Tensor(dmask)
               + Tensor(batch.c * (_F32(1.0) - dmask)))
+    z = Tensor(batch.z, tangent=batch.v)
+    r = Tensor(batch.r[:, None])
+    t = Tensor(batch.t[:, None], tangent=np.ones((bsz, 1), dtype=_F32))
+
+    enc, h_tok = None, None
+    if dims.latent_tokens:
+        enc = phi_forward(params, dims, c_used, batch.eps, batch.x, z, r, t,
+                          noise=draws.reparam)
+        h_tok = (Tensor(draws.h_prior) if draws.h_prior is not None
+                 else T.reshape(enc.h, (bsz, 1, dims.latent_dim)))
     collect = cfg.disp_block if cfg.beta > 0 else None
+    out = theta_forward(params, dims, c_used, h_tok, x_p, z, mask, t, r,
+                        collect_block=collect)
+    u, reps = out if collect is not None else (out, None)
 
-    def f(z_t, r_t, t_t):  # -> (u, [reps,] [mu, log_var])
-        h_tok, enc_out = None, ()
-        if variational:
-            enc = phi_forward(params, dims, c_used, batch.eps, batch.x, z_t,
-                              r_t, t_t, noise=draws.reparam)
-            h_tok = (Tensor(draws.h_prior) if draws.h_prior is not None
-                     else T.reshape(enc.h, (bsz, 1, dims.latent_dim)))
-            enc_out = (enc.mu, enc.log_var)
-        out = theta_forward(params, dims, c_used, h_tok, x_p, z_t, mask,
-                            t_t, r_t, collect_block=collect)
-        return (*out, *enc_out) if collect is not None else (out, *enc_out)
-
-    outs, tans = T.jvp(f, (batch.z, batch.r[:, None], batch.t[:, None]),
-                       (batch.v, None, np.ones((bsz, 1), dtype=_F32)))
-    u_t = mean_flow_target(batch.v, batch.t, batch.r, tans[0])
-    res = outs[0] - Tensor(u_t)
-    sse = T.tsum(res * res, axis=(1, 2))
-    if cfg.adaptive_l2:
-        w = np.power(sse.data + _F32(1e-3), _F32(-0.5))
-        l2 = T.tmean(sse * Tensor(w))
-    else:
-        l2 = T.tmean(sse)
-    kl = kl_loss(outs[-2], outs[-1]) if variational else Tensor(0.0)
-    disp = dispersive_loss(outs[1], cfg.tau) if collect is not None else Tensor(0.0)
+    u_t = mean_flow_target(batch.v, batch.t, batch.r, u.tangent)
+    res = u - Tensor(u_t)
+    l2 = T.tmean(T.tsum(res * res, axis=(1, 2)))
+    kl = kl_loss(enc.mu, enc.log_var) if enc is not None else Tensor(0.0)
+    disp = dispersive_loss(reps, cfg.tau) if reps is not None else Tensor(0.0)
     total = l2 + kl * cfg.alpha + disp * cfg.beta
 
     report = LossReport(
         l2=float(l2.data), kl=float(kl.data), dispersive=float(disp.data),
-        total=float(total.data), alpha=cfg.alpha, beta=cfg.beta, tau=cfg.tau,
-        t_mean=float(batch.t.mean()), r_mean=float(batch.r.mean()))
+        total=float(total.data), t_mean=float(batch.t.mean()),
+        r_mean=float(batch.r.mean()))
     return total, report
 
 

@@ -104,7 +104,7 @@ def _tiny_u_field(seed: int):
     reparam = normal_f32(rng, (bsz, dims.latent_dim)) if variational else None
 
     dmask = Tensor(drop.astype(F32).reshape(bsz, 1, 1))
-    c_used = (null_condition_tokens(params, bsz, 2, dims) * dmask
+    c_used = (null_condition_tokens(params, bsz, 2) * dmask
               + Tensor(c) * (1.0 - dmask))
 
     def g(z_t, r_t, t_t):
@@ -258,8 +258,8 @@ def test_c04_loss_identities():
 
     cfg, dims, params, batch, split, draws = pinned_setup("VMFD", seed=40)
     _, rep = flow_loss(params, dims, cfg, batch, split, draws)
-    want = (F32(rep.l2) + F32(rep.alpha) * F32(rep.kl)
-            + F32(rep.beta) * F32(rep.dispersive))
+    want = (F32(rep.l2) + F32(cfg.alpha) * F32(rep.kl)
+            + F32(cfg.beta) * F32(rep.dispersive))
     ok &= F32(rep.total) == want
     assert _verdict(4, "loss identities and exact f32 composition", ok)
 
@@ -306,7 +306,7 @@ def test_c05_variant_reductions():
         for rp, rd in zip(rep_p, rep_d):
             ok &= rd.l2 == rp.l2 and rd.kl == rp.kl
             ok &= rp.dispersive == 0.0 and rd.dispersive <= 0.0
-            ok &= rp.total == F32(rp.l2) + F32(rp.alpha) * F32(rp.kl)
+            ok &= rp.total == F32(rp.l2) + F32(cfg_p.alpha) * F32(rp.kl)
     assert _verdict(5, "variant reductions (equal-endpoint target, "
                     "alpha-0 equivalence, beta-only dispersive delta)", ok)
 

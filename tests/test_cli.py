@@ -276,6 +276,14 @@ def test_exit_3_invariant_violation(tmp_path, capsys):
     assert info["error"] == "ConfigError" and info["exit_code"] == 3
 
 
+def test_exit_3_adaptive_l2_true(tmp_path, capsys):
+    cfg = _write_config(tmp_path, _gen_ring(tmp_path), adaptive_l2=True)
+    rc = main(["train", "--config", str(cfg)])
+    assert rc == 3
+    info = _stderr_error(capsys)
+    assert info["error"] == "ConfigError" and "adaptive_l2" in info["message"]
+
+
 def test_exit_4_missing_file(tmp_path, capsys):
     rc = main(["train", "--config", str(tmp_path / "nope.json")])
     assert rc == 4
@@ -415,15 +423,21 @@ def test_exit_3_train_ragged_dataset(tmp_path, capsys):
     assert "row 3: x has shape (1, 1), row 1 has (1, 2)" in info["message"]
 
 
-def test_sample_then_granger_on_sequences_run(tmp_path):
+def _sequence_samples(tmp_path, n):
+    """n samples of a one-epoch run on sequences of 4 tokens at dim 8."""
     data = tmp_path / "seqs.jsonl"
     assert main(["gen-data", "--domain", "sequences", "--out", str(data),
                  "--n-sequences", "16", "--length", "4", "--dim", "8"]) == 0
     cfg = _write_config(tmp_path, data, epochs=1)
     assert main(["train", "--config", str(cfg)]) == 0
     samples = tmp_path / "samples.jsonl"
-    assert main(["sample", "--run", str(tmp_path / "run"), "--n", "5",
+    assert main(["sample", "--run", str(tmp_path / "run"), "--n", str(n),
                  "--out", str(samples)]) == 0
+    return samples
+
+
+def test_sample_then_granger_on_sequences_run(tmp_path):
+    samples = _sequence_samples(tmp_path, 5)
     hist = tmp_path / "hist.json"
     assert main(["granger", "--latents", str(samples), "--max-lag", "1",
                  "--out", str(hist)]) == 0
@@ -441,3 +455,16 @@ def test_exit_3_granger_latent_shape_mismatch(tmp_path, capsys):
     assert rc == 3
     info = _stderr_error(capsys)
     assert info["error"] == "GrangerError" and "latent_shape" in info["message"]
+
+
+def test_exit_3_granger_when_no_series_is_long_enough(tmp_path, capsys):
+    # each group's series has dim = 8 points; --max-lag 2 needs 3 * 2 + 5
+    samples = _sequence_samples(tmp_path, 50)
+    hist = tmp_path / "hist.json"
+    rc = main(["granger", "--latents", str(samples), "--max-lag", "2",
+               "--out", str(hist)])
+    assert rc == 3
+    info = _stderr_error(capsys)
+    assert info["error"] == "GrangerError"
+    assert "3 * max_lag + 5 = 11 points" in info["message"]
+    assert not hist.exists()

@@ -75,7 +75,7 @@ def test_range_checks():
 
 # a wrong-typed value for each kind of field; int fields refuse bools
 _WRONG = {"int": [1.5, True, "3", None], "float": ["0.1", True, None],
-          "bool": [1, "true", None], "str": [3, None]}
+          "str": [3, None]}
 
 
 @pytest.mark.parametrize("field", dataclasses.fields(RunConfig), ids=lambda f: f.name)
@@ -101,6 +101,20 @@ def test_malformed_json_is_config_error(tmp_path):
 def test_unknown_key_rejected():
     with pytest.raises(ConfigError, match="unknown"):
         config_from_dict({"variant": "VMF", "learning_rate": 1e-3})
+
+
+def test_saved_adaptive_l2_false_loads_true_refused(tmp_path):
+    # configs saved while RunConfig had adaptive_l2 store it as false
+    path = tmp_path / "c.json"
+    save_config(str(path), RunConfig(variant="VMF"))
+    raw = json.loads(path.read_text())
+    for value in (False, True, 0):
+        path.write_text(json.dumps(dict(raw, adaptive_l2=value)))
+        if value is False:
+            assert load_config(str(path)) == RunConfig(variant="VMF")
+        else:
+            with pytest.raises(ConfigError, match="adaptive_l2"):
+                load_config(str(path))
 
 
 def test_json_round_trip(tmp_path):

@@ -26,6 +26,11 @@ def setup(seed=0, b=3, sample_len=6, cond_len=2):
     return params, c, eps, x, z, t, r
 
 
+def draw(seed, b=3):
+    """A reparameterization draw, as training makes it."""
+    return normal_f32(make_rng(seed), (b, DIMS.latent_dim))
+
+
 def test_zero_noise_gives_mu_exactly():
     params, c, eps, x, z, t, r = setup()
     out = phi_forward(params, DIMS, c, eps, x, z, r, t,
@@ -48,9 +53,9 @@ def test_monte_carlo_mean_of_h_is_mu():
     params, c, eps, x, z, t, r = setup(b=1)
     n = 10_000
     rep = lambda a: np.repeat(a, n, axis=0)
-    rng = make_rng(123)
     out = phi_forward(params, DIMS, rep(c), rep(eps), rep(x), rep(z),
-                      np.full(n, 0.2, np.float32), np.full(n, 0.6, np.float32), rng=rng)
+                      np.full(n, 0.2, np.float32), np.full(n, 0.6, np.float32),
+                      noise=draw(123, n))
     mu = out.mu.data[0]
     sigma = np.exp(0.5 * out.log_var.data[0])
     dev = np.abs(out.h.data.mean(axis=0) - mu)
@@ -59,20 +64,21 @@ def test_monte_carlo_mean_of_h_is_mu():
 
 def test_mu_logvar_deterministic_h_stochastic_only_via_draw():
     params, c, eps, x, z, t, r = setup()
-    o1 = phi_forward(params, DIMS, c, eps, x, z, r, t, rng=make_rng(1))
-    o2 = phi_forward(params, DIMS, c, eps, x, z, r, t, rng=make_rng(2))
+    n1 = draw(1)
+    o1 = phi_forward(params, DIMS, c, eps, x, z, r, t, noise=n1)
+    o2 = phi_forward(params, DIMS, c, eps, x, z, r, t, noise=draw(2))
     assert np.array_equal(o1.mu.data, o2.mu.data)
     assert np.array_equal(o1.log_var.data, o2.log_var.data)
     assert not np.array_equal(o1.h.data, o2.h.data)
     # replaying the recorded draw reproduces h exactly
-    o3 = phi_forward(params, DIMS, c, eps, x, z, r, t, noise=o1.noise)
+    o3 = phi_forward(params, DIMS, c, eps, x, z, r, t, noise=n1.copy())
     assert np.array_equal(o3.h.data, o1.h.data)
 
 
 def test_log_var_clamped():
     params, c, eps, x, z, t, r = setup()
     params["phi/lv/b"].data[:] = 100.0
-    out = phi_forward(params, DIMS, c, eps, x, z, r, t, rng=make_rng(0))
+    out = phi_forward(params, DIMS, c, eps, x, z, r, t, noise=draw(0))
     assert np.array_equal(out.log_var.data, np.full_like(out.log_var.data, 10.0))
     assert np.all(np.isfinite(out.h.data))
 
@@ -82,7 +88,14 @@ def test_non_finite_input_rejected():
     bad = x.copy()
     bad[0, 0, 0] = np.nan
     with pytest.raises(ShapeError, match="non-finite"):
-        phi_forward(params, DIMS, c, eps, bad, z, r, t, rng=make_rng(0))
+        phi_forward(params, DIMS, c, eps, bad, z, r, t, noise=draw(0))
+
+
+@pytest.mark.parametrize("bad_t", [np.float32(0.6), np.full(4, 0.6, np.float32)])
+def test_time_input_must_be_one_per_row(bad_t):
+    params, c, eps, x, z, t, r = setup()
+    with pytest.raises(ShapeError, match="concat"):
+        phi_forward(params, DIMS, c, eps, x, z, r, bad_t, noise=draw(0))
 
 
 def test_reparam_gradient_reaches_mu_and_logvar_paths():

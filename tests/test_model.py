@@ -140,7 +140,7 @@ def test_embed_time_properties():
 
 def test_null_condition_tokens_tile_and_grad():
     params = init_theta(make_rng(1), DIMS)
-    toks = null_condition_tokens(params, batch=4, cond_len=2, dims=DIMS)
+    toks = null_condition_tokens(params, batch=4, cond_len=2)
     assert toks.shape == (4, 2, DIMS.cond_dim)
     assert np.array_equal(toks.data[0, 0], params["theta/c_null"].data)
     assert np.array_equal(toks.data[3, 1], params["theta/c_null"].data)

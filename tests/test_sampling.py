@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from vmflow import sampling
+from vmflow import tensor as T
 from vmflow.model import ModelDims, theta_forward
 from vmflow.rng import make_rng, normal_f32
 from vmflow.sampling import (ModelField, SampleError, guide,
@@ -267,3 +268,23 @@ def test_field_reads_current_parameter_values():
     before = field(c, eps, r, t).copy()
     params["theta/head/b"].data = params["theta/head/b"].data + F32(1.0)
     assert not np.array_equal(field(c, eps, r, t), before)
+
+
+@pytest.mark.parametrize("latent_tokens,executed", [(1, 71), (0, 69)])
+def test_field_call_op_count(monkeypatch, latent_tokens, executed):
+    """Ops one call executes at the c08 dims (VMF, MF): the field hands the
+    transformer [B, 1] time columns, so no op reshapes them."""
+    dims = ModelDims(cond_dim=8, data_dim=8, latent_dim=8, width=24, heads=2,
+                     blocks=2, time_freqs=8, phi_hidden=32,
+                     latent_tokens=latent_tokens)
+    rng = make_rng(0)
+    params = init_params(rng, dims)
+    b = 5
+    h = normal_f32(rng, (b, 1, dims.latent_dim)) if latent_tokens else None
+    field = ModelField(params, dims, h=h)
+    c, z = normal_f32(rng, (b, 1, 8)), normal_f32(rng, (b, 4, 8))
+    made = []
+    make = T._make
+    monkeypatch.setattr(T, "_make", lambda *a: made.append(a) or make(*a))
+    field(c, z, np.zeros(b, dtype=F32), np.ones(b, dtype=F32))
+    assert len(made) == executed

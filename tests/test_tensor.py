@@ -70,6 +70,8 @@ def test_shape_errors_name_the_op():
         T.matmul(Tensor(randn(3, 4)), Tensor(randn(3, 4)))
     with pytest.raises(ShapeError, match="concat"):
         T.concat([], axis=0)
+    with pytest.raises(ShapeError, match="concat"):
+        T.concat([Tensor(randn(3, 4)), Tensor(randn(2, 5))], axis=1)
     with pytest.raises(ShapeError, match="reshape"):
         T.reshape(Tensor(randn(3, 4)), (5, 5))
 

@@ -254,7 +254,7 @@ def frozen_target_loss(params, dims, cfg, batch, split, draws, u_t):
     mask = build_mask(sample_len, cond_len, dims.latent_tokens, split)
     x_p = batch.x[:, :mask.visible_len] if mask.visible_len else None
     dmask = Tensor(draws.drop.astype(F32).reshape(bsz, 1, 1))
-    c_used = (null_condition_tokens(params, bsz, cond_len, dims) * dmask
+    c_used = (null_condition_tokens(params, bsz, cond_len) * dmask
               + Tensor(batch.c) * (1.0 - dmask))
     z, r, t = Tensor(batch.z), Tensor(batch.r), Tensor(batch.t)
     if dims.latent_tokens:
@@ -282,7 +282,7 @@ def recover_target(params, dims, cfg, batch, split, draws):
         mask = build_mask(batch.x.shape[1], cond_len, dims.latent_tokens, split)
         x_p = batch.x[:, :mask.visible_len] if mask.visible_len else None
         dmask = Tensor(draws.drop.astype(F32).reshape(bsz, 1, 1))
-        c_used = (null_condition_tokens(params, bsz, cond_len, dims) * dmask
+        c_used = (null_condition_tokens(params, bsz, cond_len) * dmask
                   + Tensor(batch.c) * (1.0 - dmask))
         if dims.latent_tokens:
             enc = phi_forward(params, dims, c_used, batch.eps, batch.x,
@@ -450,7 +450,7 @@ def test_dispersive_variants_share_l2_and_kl():
             assert rd.l2 == rp.l2
             assert rd.kl == rp.kl
             assert rd.dispersive <= 0.0 and rp.dispersive == 0.0
-            assert rp.total == np.float32(rp.l2) + np.float32(rp.alpha) * np.float32(rp.kl)
+            assert rp.total == np.float32(rp.l2) + np.float32(cfg_p.alpha) * np.float32(rp.kl)
 
 
 def test_fm_is_mf_with_equal_times():
@@ -480,8 +480,8 @@ def test_rfm_is_vmf_with_equal_times():
 def test_total_composition_exact_f32():
     cfg, dims, params, batch, split, draws = pinned_setup("VMFD", seed=40)
     _, rep = flow_loss(params, dims, cfg, batch, split, draws)
-    want = (np.float32(rep.l2) + np.float32(rep.alpha) * np.float32(rep.kl)
-            + np.float32(rep.beta) * np.float32(rep.dispersive))
+    want = (np.float32(rep.l2) + np.float32(cfg.alpha) * np.float32(rep.kl)
+            + np.float32(cfg.beta) * np.float32(rep.dispersive))
     assert np.float32(rep.total) == want
 
 
