@@ -4,22 +4,20 @@ evaluation, mask inspection, and causality analysis into reproducible runs.
 Every subcommand is deterministic given its seeds; errors surface as a
 one-line JSON object on stderr with a stable exit code: 2 for an unknown
 variant, 3 for config or invariant violations, 4 for missing files, 1
-otherwise. The VMFLOW_SEED environment variable overrides the config seed.
+otherwise.
 """
 from __future__ import annotations
 
 import argparse
 import dataclasses
 import json
-import os
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from .config import (ConfigError, RunConfig, VariantError, load_config,
-                     save_config)
+from .config import ConfigError, VariantError, load_config, save_config
 from .datasets import (DatasetError, SequenceCodec, ToySequenceSpec,
                        load_dataset_jsonl, make_gmm_dataset,
                        make_sequence_dataset, read_jsonl, ring_spec,
@@ -39,15 +37,6 @@ _SAMPLE_SEED_OFFSET = 100003  # keeps the sampling stream off the training one
 
 # ---------------------------------------------------------------------------
 # plumbing
-
-def _apply_env_seed(cfg: RunConfig):
-    env = os.environ.get("VMFLOW_SEED")
-    if env is not None:
-        try:
-            cfg.seed = int(env)
-        except ValueError:
-            raise ConfigError(f"VMFLOW_SEED must be an integer, got {env!r}")
-
 
 def _parse_overrides(pairs: list[str]) -> dict:
     out = {}
@@ -93,7 +82,6 @@ def _cmd_train(args) -> int:
         if val is not None:
             overrides[key] = val
     cfg = load_config(args.config, overrides)
-    _apply_env_seed(cfg)
     if args.out:
         cfg.out_dir = args.out
     out = Path(cfg.out_dir)
@@ -141,7 +129,6 @@ def _decoder_for(meta: list[dict]):
 def _cmd_sample(args) -> int:
     run = Path(args.run)
     cfg = load_config(run / "config.json")
-    _apply_env_seed(cfg)
     if args.seed is not None:
         cfg.seed = args.seed
     nfe = args.nfe if args.nfe is not None else cfg.nfe
@@ -204,7 +191,7 @@ def _cmd_eval(args) -> int:
 
     out_path = Path(args.out)
     with open(out_path, "w") as fh:
-        json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
+        json.dump(dataclasses.asdict(report), fh, indent=2, sort_keys=True)
         fh.write("\n")
     if args.curve:
         f = paired_cosine(np.stack(gen), np.stack(ref))

@@ -93,14 +93,12 @@ class RunConfig:
 
     def _check(self):
         v = self.variant
-        if v in ("MF", "MFD") and self.alpha != 0.0:
+        if v not in VARIATIONAL and self.alpha != 0.0:
             raise ConfigError(f"variant {v} requires alpha = 0, got {self.alpha}")
-        if v in ("MF", "VMF") and self.beta != 0.0:
+        if v not in DISPERSIVE and self.beta != 0.0:
             raise ConfigError(f"variant {v} requires beta = 0, got {self.beta}")
         if v in EQUAL_TIMES and self.p_equal != 1.0:
             raise ConfigError(f"variant {v} requires p_equal = 1, got {self.p_equal}")
-        if v == "RFM" and self.beta != 0.0:
-            raise ConfigError(f"variant RFM requires beta = 0, got {self.beta}")
         if self.alpha < 0 or self.beta < 0:
             raise ConfigError("alpha and beta must be non-negative")
         if self.tau <= 0:
@@ -123,6 +121,8 @@ class RunConfig:
                       "checkpoint_every", "n_samples"):
             if getattr(self, field) < 1:
                 raise ConfigError(f"{field} must be positive")
+        if self.width % self.heads:
+            raise ConfigError(f"width {self.width} not divisible by heads {self.heads}")
 
     @property
     def variational(self) -> bool:
@@ -131,9 +131,6 @@ class RunConfig:
     @property
     def latent_tokens(self) -> int:
         return 1 if self.variational else 0
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
 
 
 def config_from_dict(raw: dict) -> RunConfig:
@@ -163,5 +160,5 @@ def load_config(path, overrides: dict | None = None) -> RunConfig:
 
 def save_config(path, cfg: RunConfig):
     with open(path, "w") as fh:
-        json.dump(cfg.to_dict(), fh, indent=2, sort_keys=True)
+        json.dump(dataclasses.asdict(cfg), fh, indent=2, sort_keys=True)
         fh.write("\n")

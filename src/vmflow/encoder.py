@@ -43,7 +43,7 @@ def init_phi(rng: np.random.Generator, dims: ModelDims) -> dict[str, Tensor]:
 
 
 def _pooled(x, name: str) -> Tensor:
-    t = _ensure(x, name)
+    t = _ensure("phi_forward", x, name)
     if t.ndim != 3:
         raise ShapeError("phi_forward", f"{name} must be [batch, len, dim], got {t.shape}")
     if not np.all(np.isfinite(t.data)):
@@ -58,8 +58,8 @@ def phi_forward(params: dict[str, Tensor], dims: ModelDims, c, eps, x, z, r, t,
     t, r: [B] or [B, 1], as theta_forward takes them; noise: [B, latent_dim].
     """
     feats = T.concat([_pooled(c, "c"), _pooled(eps, "eps"), _pooled(x, "x"),
-                      _pooled(z, "z"), _time_column(t, "t"), _time_column(r, "r")],
-                     axis=1)
+                      _pooled(z, "z"), _time_column("phi_forward", t, "t"),
+                      _time_column("phi_forward", r, "r")], axis=1)
     hid = T.gelu(T.linear(feats, params["phi/w1"], params["phi/b1"]))
     hid = T.gelu(T.linear(hid, params["phi/w2"], params["phi/b2"]))
     mu = T.linear(hid, params["phi/mu/w"], params["phi/mu/b"])

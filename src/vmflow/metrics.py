@@ -29,11 +29,6 @@ class MetricReport:
             if not (0.0 <= v <= 100.0):
                 raise MetricError(f"{name} = {v} outside [0, 100]")
 
-    def to_dict(self) -> dict:
-        return {"metrics": dict(self.metrics), "overall": self.overall,
-                "n_samples": self.n_samples, "sim_fn": self.sim_fn,
-                "thresholds": dict(self.thresholds)}
-
 
 def cosine_sim(a: np.ndarray, b: np.ndarray) -> float:
     """Cosine over nonnegative feature vectors; zero vectors score 0."""

@@ -90,27 +90,30 @@ def init_theta(rng: np.random.Generator, dims: ModelDims) -> dict[str, Tensor]:
     return p
 
 
-def _ensure(x, name: str) -> Tensor:
+def _ensure(op: str, x, name: str) -> Tensor:
+    """x as a Tensor; a failure names `op`, the function that was called."""
     if isinstance(x, Tensor):
         return x
     try:
         return Tensor(x)
     except Exception as e:
-        raise ShapeError("theta_forward", f"bad input {name}: {e}") from None
+        raise ShapeError(op, f"bad input {name}: {e}") from None
 
 
-def _time_column(x, name: str) -> Tensor:
-    """Scalar, [B], or [B,1] time -> column Tensor, preserving any tangent."""
-    t = _ensure(x, name)
+def _time_column(op: str, x, name: str) -> Tensor:
+    """Scalar, [B], or [B,1] time -> column Tensor, preserving any tangent.
+    The error offers no scalar: phi_forward concatenates the column with
+    [B, ...] features, so it takes only the batched forms."""
+    t = _ensure(op, x, name)
     if t.ndim > 2 or (t.ndim == 2 and t.shape[1] != 1):
-        raise ShapeError("theta_forward", f"{name} must be scalar or [batch], got {t.shape}")
+        raise ShapeError(op, f"{name} must be [batch] or [batch, 1], got {t.shape}")
     return t if t.ndim == 2 else T.reshape(t, (-1, 1))
 
 
 def embed_time(t, r, params: dict[str, Tensor], dims: ModelDims) -> Tensor:
     """Sinusoidal features of t and (t - r) through a two-layer MLP -> [B, width]."""
-    tc = _time_column(t, "t")
-    rc = _time_column(r, "r")
+    tc = _time_column("embed_time", t, "t")
+    rc = _time_column("embed_time", r, "r")
     for name, col in (("t", tc), ("r", rc)):
         if np.any(col.data < 0.0) or np.any(col.data > 1.0):
             raise ShapeError("embed_time", f"{name} outside [0,1]: {col.data.ravel()[:4]}")
@@ -159,19 +162,19 @@ def theta_forward(params: dict[str, Tensor], dims: ModelDims, c, h, x_p, z,
     (u, reps): the mean over the z positions of block k's output,
     [B, width].
     """
-    z = _ensure(z, "z")
+    z = _ensure("theta_forward", z, "z")
     if z.ndim != 3 or z.shape[1] == 0:
         raise ShapeError("theta_forward", f"z must be [batch, len>=1, dim], got {z.shape}")
     bsz, z_len, _ = z.shape
 
-    tc = _time_column(t, "t")
-    rc = _time_column(r, "r")
+    tc = _time_column("theta_forward", t, "t")
+    rc = _time_column("theta_forward", r, "r")
     if np.any(rc.data > tc.data):  # embed_time checks that both lie in [0, 1]
         raise ShapeError("theta_forward", "need r <= t elementwise")
 
     segments = []
     for name, tok in (("c", c), ("h", h), ("xp", x_p)):
-        tok = None if tok is None else _ensure(tok, name)
+        tok = None if tok is None else _ensure("theta_forward", tok, name)
         if tok is not None and tok.shape[1]:
             segments.append((name, tok))
     segments.append(("z", z))

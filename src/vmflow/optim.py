@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import tensor as T
 from .tensor import Tensor
 
 _F32 = np.float32
@@ -86,8 +87,7 @@ class Adam:
             p.data, st.m, st.v = (a[start:end].reshape(shape) for a in flat)
 
     def zero_grad(self):
-        for p in self.params.values():
-            p.grad = None
+        T.zero_grad(self.params)
 
     def state_tensors(self) -> dict[str, np.ndarray]:
         """Flatten moments (plus the step counter) for checkpointing."""

@@ -144,10 +144,6 @@ def _unbroadcast(g: np.ndarray, shape: tuple, keep_last: int = 0) -> np.ndarray:
     return g
 
 
-def _broadcast_error(op: str, a: Tensor, b: Tensor) -> ShapeError:
-    return ShapeError(op, f"shapes {a.shape} and {b.shape} do not broadcast")
-
-
 _ZERO = _F32(0.0)
 _ONE = _F32(1.0)
 _TWO = _F32(2.0)
@@ -169,14 +165,30 @@ def _add_tangent(shape, ta, tb):
     return tan
 
 
+def _product_tangent(f, a: Tensor, b: Tensor):
+    """The product rule for a bilinear f: f(ta, b) + f(a, tb), where an
+    absent tangent drops its term."""
+    ta, tb = a.tangent, b.tangent
+    tan = None if ta is None else f(ta, b.data)
+    if tb is not None:
+        part = f(a.data, tb)
+        tan = part if tan is None else tan + part
+    return tan
+
+
 # ---------------------------------------------------------------------------
 # elementwise arithmetic (a VJP skips the parents that take no gradient)
 
-def add(a: Tensor, b: Tensor) -> Tensor:
+def _elementwise(op: str, f, a: Tensor, b: Tensor) -> np.ndarray:
+    """f(a.data, b.data); numpy's broadcast error becomes a ShapeError naming op."""
     try:
-        data = a.data + b.data
+        return f(a.data, b.data)
     except ValueError:
-        raise _broadcast_error("add", a, b) from None
+        raise ShapeError(op, f"shapes {a.shape} and {b.shape} do not broadcast") from None
+
+
+def add(a: Tensor, b: Tensor) -> Tensor:
+    data = _elementwise("add", np.add, a, b)
     tan = _add_tangent(data.shape, a.tangent, b.tangent)
 
     def vjp(g):
@@ -187,10 +199,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    try:
-        data = a.data - b.data
-    except ValueError:
-        raise _broadcast_error("sub", a, b) from None
+    data = _elementwise("sub", np.subtract, a, b)
     ta, tb = a.tangent, b.tangent
     if ta is None and tb is None:
         tan = None
@@ -209,17 +218,8 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    try:
-        data = a.data * b.data
-    except ValueError:
-        raise _broadcast_error("mul", a, b) from None
-    ta, tb = a.tangent, b.tangent
-    tan = None
-    if ta is not None:
-        tan = ta * b.data
-    if tb is not None:
-        part = a.data * tb
-        tan = part if tan is None else tan + part
+    data = _elementwise("mul", np.multiply, a, b)
+    tan = _product_tangent(np.multiply, a, b)
 
     def vjp(g):
         return (_unbroadcast(g * b.data, a.shape) if a.requires_grad else None,
@@ -229,10 +229,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
-    try:
-        data = a.data / b.data
-    except ValueError:
-        raise _broadcast_error("div", a, b) from None
+    data = _elementwise("div", np.divide, a, b)
     ta, tb = a.tangent, b.tangent
     tan = None
     if ta is not None:
@@ -263,17 +260,6 @@ def _matmul_data(op: str, a: Tensor, b: Tensor) -> np.ndarray:
         raise ShapeError(op, f"batch dims differ: {a.shape} @ {b.shape}") from None
 
 
-def _matmul_tangent(a: Tensor, b: Tensor):
-    ta, tb = a.tangent, b.tangent
-    tan = None
-    if ta is not None:
-        tan = ta @ b.data
-    if tb is not None:
-        part = a.data @ tb
-        tan = part if tan is None else tan + part
-    return tan
-
-
 def _matmul_vjp(g, a: Tensor, b: Tensor):
     ga = gb = None
     if a.requires_grad:
@@ -289,7 +275,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     def vjp(g):
         return _matmul_vjp(g, a, b)
 
-    return _make(data, (a, b), _matmul_tangent(a, b), vjp)
+    return _make(data, (a, b), _product_tangent(np.matmul, a, b), vjp)
 
 
 def transpose(a: Tensor, axes: tuple[int, ...]) -> Tensor:
@@ -592,7 +578,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
         data = out + b.data
     except ValueError:
         raise ShapeError("linear", f"bias {b.shape} vs output {out.shape}") from None
-    tan = _add_tangent(data.shape, _matmul_tangent(x, w), b.tangent)
+    tan = _add_tangent(data.shape, _product_tangent(np.matmul, x, w), b.tangent)
 
     def vjp(g):
         gx, gw = _matmul_vjp(_unbroadcast(g, out.shape), x, w)
@@ -605,12 +591,12 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
 # autodiff drivers
 
 def jvp(f, primals, tangents):
-    """Evaluate f in forward mode.
+    """Evaluate f, a function with one Tensor output, in forward mode.
 
     primals: sequence of Tensors or arrays; tangents: matching arrays (None
     means zero). Fresh leaves are built so caller tensors stay untouched;
     anything f closes over (parameters) contributes zero tangent. Returns
-    (outputs, output_tangents) with the same nesting as f's return value.
+    (output, output_tangent).
     """
     if len(primals) != len(tangents):
         raise ShapeError("jvp", f"{len(primals)} primals vs {len(tangents)} tangents")
@@ -624,15 +610,8 @@ def jvp(f, primals, tangents):
                 raise ShapeError("jvp", f"tangent {t.shape} vs primal {base.shape}")
             d.tangent = t
         duals.append(d)
-    outs = f(*duals)
-    if isinstance(outs, Tensor):
-        return outs, _out_tangent(outs)
-    outs = tuple(outs)
-    return outs, tuple(_out_tangent(o) for o in outs)
-
-
-def _out_tangent(o: Tensor) -> np.ndarray:
-    return o.tangent if o.tangent is not None else np.zeros_like(o.data)
+    out = f(*duals)
+    return out, out.tangent if out.tangent is not None else np.zeros_like(out.data)
 
 
 def backward(loss: Tensor):

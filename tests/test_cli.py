@@ -137,14 +137,13 @@ def test_sample_rows_and_determinism(trained_run):
         assert r["decoded"] == r["latent"]  # point domain payload
 
 
-def test_sample_seed_changes_output(trained_run, monkeypatch):
+def test_sample_seed_changes_output(trained_run):
     run = trained_run / "run"
     base = trained_run / "sa.jsonl"
     other = trained_run / "sb.jsonl"
     argv = ["sample", "--run", str(run), "--n", "4", "--out"]
     assert main(argv + [str(base)]) == 0
-    monkeypatch.setenv("VMFLOW_SEED", "99")
-    assert main(argv + [str(other)]) == 0
+    assert main(argv + [str(other), "--seed", "99"]) == 0
     rows = _read_jsonl(other)
     assert all(r["seed"] == 99 for r in rows)
     assert base.read_bytes() != other.read_bytes()
@@ -319,7 +318,7 @@ def test_exit_3_eval_ragged_rows(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("override", ["width=abc", 'nfe="x"', "epochs=1.5",
-                                      "checkpoint_every=0", "n_samples=0"])
+                                      "checkpoint_every=0", "n_samples=0", "heads=5"])
 def test_exit_3_bad_config_override(tmp_path, capsys, override):
     data = _gen_ring(tmp_path)
     cfg = _write_config(tmp_path, data)

@@ -71,6 +71,13 @@ def test_range_checks():
                 dict(n_samples=-2)):
         with pytest.raises(ConfigError):
             RunConfig(variant="VMF", **bad)
+    # the weights follow the variant sets, FM included
+    with pytest.raises(ConfigError, match="variant FM requires beta = 0, got 0.5"):
+        RunConfig(variant="FM", beta=0.5)
+    with pytest.raises(ConfigError, match="variant FM requires alpha = 0, got 0.3"):
+        RunConfig(variant="FM", alpha=0.3)
+    with pytest.raises(ConfigError, match="width 64 not divisible by heads 5"):
+        RunConfig(variant="VMF", heads=5)
 
 
 # a wrong-typed value for each kind of field; int fields refuse bools

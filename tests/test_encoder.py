@@ -98,6 +98,13 @@ def test_time_input_must_be_one_per_row(bad_t):
         phi_forward(params, DIMS, c, eps, x, z, r, bad_t, noise=draw(0))
 
 
+def test_time_shape_error_names_phi_forward():
+    params, c, eps, x, z, t, r = setup()
+    bad_t = np.full((3, 2), 0.6, np.float32)
+    with pytest.raises(ShapeError, match=r"^phi_forward: t must be \[batch\] or \[batch, 1\]"):
+        phi_forward(params, DIMS, c, eps, x, z, r, bad_t, noise=draw(0))
+
+
 def test_reparam_gradient_reaches_mu_and_logvar_paths():
     params, c, eps, x, z, t, r = setup()
     e = normal_f32(make_rng(8), (3, DIMS.latent_dim))

@@ -138,6 +138,13 @@ def test_embed_time_properties():
         e(0.5, -0.1)
 
 
+def test_time_shape_error_names_embed_time():
+    params = init_theta(make_rng(3), DIMS)
+    bad_t = np.full((3, 2), 0.5, np.float32)
+    with pytest.raises(ShapeError, match=r"^embed_time: t must be \[batch\] or \[batch, 1\]"):
+        embed_time(bad_t, np.zeros(3, np.float32), params, DIMS)
+
+
 def test_null_condition_tokens_tile_and_grad():
     params = init_theta(make_rng(1), DIMS)
     toks = null_condition_tokens(params, batch=4, cond_len=2)
