@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import os
 import struct
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -19,37 +20,42 @@ class CheckpointError(RuntimeError):
     pass
 
 
-def save_checkpoint(path, tensors: dict):
-    """Write named arrays to `path`.
-
-    The bytes go to a temporary file beside `path`, which then replaces it
-    in one rename: a failed or interrupted write leaves any earlier file
-    at `path` whole. The file is not fsynced, so the write survives a
-    process crash but is not made durable against power loss.
-    """
-    items = [(name, np.asarray(tensors[name], dtype="<f4"))  # tobytes() is C order
-             for name in sorted(tensors)]
+@contextmanager
+def atomic_open(path, mode: str = "w"):
+    """Open a temporary file beside `path` for writing; on a clean exit it
+    replaces `path` in one rename. A failed or interrupted write leaves any
+    earlier file at `path` whole and removes the temporary file. The file
+    is not fsynced, so the write survives a process crash but is not made
+    durable against power loss."""
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
-        with open(tmp, "wb") as fh:
-            fh.write(MAGIC)
-            fh.write(struct.pack("<I", len(items)))
-            for name, arr in items:
-                raw = name.encode("utf-8")
-                if len(raw) > 0xFFFF:
-                    raise CheckpointError(f"tensor name too long: {len(raw)} bytes")
-                if arr.ndim > 0xFF:
-                    raise CheckpointError(f"tensor rank too large: {arr.ndim}")
-                fh.write(struct.pack("<H", len(raw)))
-                fh.write(raw)
-                fh.write(struct.pack("B", arr.ndim))
-                fh.write(struct.pack(f"<{arr.ndim}Q", *arr.shape))
-                fh.write(arr.tobytes())
+        with open(tmp, mode) as fh:
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def save_checkpoint(path, tensors: dict):
+    """Write named arrays to `path` through `atomic_open`."""
+    items = [(name, np.asarray(tensors[name], dtype="<f4"))  # tobytes() is C order
+             for name in sorted(tensors)]
+    with atomic_open(path, "wb") as fh:
+        fh.write(MAGIC)
+        fh.write(struct.pack("<I", len(items)))
+        for name, arr in items:
+            raw = name.encode("utf-8")
+            if len(raw) > 0xFFFF:
+                raise CheckpointError(f"tensor name too long: {len(raw)} bytes")
+            if arr.ndim > 0xFF:
+                raise CheckpointError(f"tensor rank too large: {arr.ndim}")
+            fh.write(struct.pack("<H", len(raw)))
+            fh.write(raw)
+            fh.write(struct.pack("B", arr.ndim))
+            fh.write(struct.pack(f"<{arr.ndim}Q", *arr.shape))
+            fh.write(arr.tobytes())
 
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:

@@ -12,11 +12,13 @@ import argparse
 import dataclasses
 import json
 import sys
+from itertools import takewhile
 from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from .checkpoint import (CheckpointError, atomic_open, load_checkpoint,
+                         save_checkpoint)
 from .config import ConfigError, VariantError, load_config, save_config
 from .datasets import (DatasetError, SequenceCodec, ToySequenceSpec,
                        load_dataset_jsonl, make_gmm_dataset,
@@ -30,7 +32,7 @@ from .optim import Adam, NonFiniteGradError
 from .rng import make_rng
 from .sampling import SampleError, sample_batch
 from .tensor import ShapeError, Tensor, parameter
-from .training import TrainError, dims_for, train_model
+from .training import TrainError, dims_for, init_params, train_model
 
 _SAMPLE_SEED_OFFSET = 100003  # keeps the sampling stream off the training one
 
@@ -84,26 +86,35 @@ def _cmd_train(args) -> int:
     cfg = load_config(args.config, overrides)
     if args.out:
         cfg.out_dir = args.out
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    ckpt_dir = out / "checkpoints"
-    ckpt_dir.mkdir(exist_ok=True)
-
     x, c, _ = load_dataset_jsonl(cfg.dataset)
-    save_config(out / "config.json", cfg)
 
+    # every input is checked before the run directory is touched
     params, opt, start_epoch = None, None, 0
     if args.resume:
         params, opt_state, start_epoch = load_params(args.resume)
+        dims = dims_for(cfg, cond_dim=c.shape[2], data_dim=x.shape[2])
+        want = {k: p.shape for k, p in init_params(make_rng(0), dims).items()}
+        if {k: p.shape for k, p in params.items()} != want:
+            raise CheckpointError(f"{args.resume}: parameter names or shapes "
+                                  f"do not fit the config's model")
         opt = Adam(params, lr=cfg.lr)
         opt.load_state_tensors(opt_state)
 
-    # a resumed run continues the log of the run it resumes
-    with open(out / "train.log.jsonl", "a" if args.resume else "w") as log_fh:
+    out = Path(cfg.out_dir)
+    ckpt_dir = out / "checkpoints"
+    ckpt_dir.mkdir(parents=True, exist_ok=True)
+    save_config(out / "config.json", cfg)
+    log_path = out / "train.log.jsonl"
+    if args.resume:  # keep the rows up to the checkpoint's step, then continue
+        rows = log_path.read_text().splitlines(True) if log_path.exists() else []
+        with atomic_open(log_path) as fh:  # stops before a crash's partial row
+            fh.writelines(takewhile(lambda r: json.loads(r)["step"] <= opt.step_count, rows))
+    with open(log_path, "a" if args.resume else "w") as log_fh:
         def log_fn(step, rep):
             log_fh.write(json.dumps({"step": step, **dataclasses.asdict(rep)}) + "\n")
 
         def checkpoint_fn(epoch, cur_params, cur_opt):
+            log_fh.flush()  # every row a checkpoint covers is on file before it
             tensors = _checkpoint_tensors(cur_params, cur_opt, epoch)
             save_checkpoint(ckpt_dir / f"epoch_{epoch:04d}.ckpt", tensors)
             save_checkpoint(ckpt_dir / "final.ckpt", tensors)

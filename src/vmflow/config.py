@@ -11,6 +11,8 @@ import json
 import numbers
 from dataclasses import dataclass
 
+from .checkpoint import atomic_open
+
 
 class ConfigError(ValueError):
     """A config invariant is violated; message names the offending field."""
@@ -159,6 +161,6 @@ def load_config(path, overrides: dict | None = None) -> RunConfig:
 
 
 def save_config(path, cfg: RunConfig):
-    with open(path, "w") as fh:
+    with atomic_open(path) as fh:
         json.dump(dataclasses.asdict(cfg), fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -2,7 +2,7 @@
 
 Adam is elementwise, so `Adam.step` updates every parameter that has a
 gradient in one vectorized pass over the concatenated gradients, moments
-and values; each tensor comes out bitwise as `adam_update` would leave it.
+and values; each tensor comes out bitwise as `_adam_arrays` on it alone.
 """
 from __future__ import annotations
 
@@ -39,16 +39,6 @@ def _adam_arrays(p, g, m, v, step, lr, beta1, beta2, eps):
     mhat = m / _F32(1.0 - beta1 ** step)
     vhat = v / _F32(1.0 - beta2 ** step)
     return p - _F32(lr) * mhat / (np.sqrt(vhat) + _F32(eps)), m, v
-
-
-def adam_update(param: Tensor, grad: np.ndarray, state: AdamState, step: int,
-                lr: float = 1e-3, beta1: float = 0.9, beta2: float = 0.999,
-                eps: float = 1e-8, name: str = "?"):
-    """One Adam step. `step` is 1-based so bias correction is exact."""
-    if not np.all(np.isfinite(grad)):
-        raise NonFiniteGradError(name)
-    param.data, state.m, state.v = _adam_arrays(param.data, grad, state.m, state.v,
-                                                step, lr, beta1, beta2, eps)
 
 
 class Adam:
@@ -103,10 +93,3 @@ class Adam:
             st.m = tensors[f"adam/m/{name}"].reshape(st.m.shape).copy()
             st.v = tensors[f"adam/v/{name}"].reshape(st.v.shape).copy()
 
-
-def grad_global_norm(params: dict[str, Tensor]) -> float:
-    total = 0.0
-    for p in params.values():
-        if p.grad is not None:
-            total += float(np.sum(p.grad.astype(np.float64) ** 2))
-    return float(np.sqrt(total))

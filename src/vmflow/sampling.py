@@ -1,9 +1,9 @@
 """One-step and few-step sampling with classifier-free guidance.
 
-The K-step path walks a uniform descending grid t_k = 1 - k/K and applies
-x <- x - (t_k - t_{k+1}) * u at each step; K = 1 reduces to the one-shot
-rule x = eps - u(c, eps, r=0, t=1) bit-exactly, since the single step has
-width 1.0 and multiplying by it is exact. Guidance is the affine
+The sampler walks a uniform descending grid t_k = 1 - k/K and applies
+x <- x - (t_k - t_{k+1}) * u at each step. K = 1 is the one-shot rule
+x = eps - u(c, eps, r=0, t=1), bit for bit: the single step has width 1.0
+and multiplying by it is exact. Guidance is the affine
 combination w * u_cond + (1 - w) * u_uncond, applied at every step; w = 1
 skips the unconditional pass entirely.
 """
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mask import single_group_mask
-from .model import ModelDims, theta_forward
+from .model import ModelDims, null_condition_tokens, theta_forward
 from .rng import normal_f32
 from .tensor import Tensor, detach
 
@@ -65,27 +65,6 @@ class ModelField:
         return u.data
 
 
-def _step_u(field, c, z, r, t, w, null_c):
-    u_cond = field(c, z, r, t)
-    if w == 1.0 or null_c is None:
-        return u_cond
-    return guide(u_cond, field(null_c, z, r, t), w)
-
-
-def sample_one_nfe(field, c: np.ndarray, eps: np.ndarray, *,
-                   guidance_w: float = 1.0,
-                   null_c: np.ndarray | None = None) -> np.ndarray:
-    """x = eps - u(c, eps, r=0, t=1), with optional guidance."""
-    b = eps.shape[0]
-    r = np.zeros(b, dtype=_F32)
-    t = np.ones(b, dtype=_F32)
-    u = _step_u(field, c, eps, r, t, guidance_w, null_c)
-    x = eps - u
-    if not np.all(np.isfinite(x)):
-        raise SampleError("non-finite sample")
-    return x
-
-
 def sample_multi_step(field, c: np.ndarray, eps: np.ndarray, nfe: int, *,
                       guidance_w: float = 1.0,
                       null_c: np.ndarray | None = None) -> np.ndarray:
@@ -98,18 +77,13 @@ def sample_multi_step(field, c: np.ndarray, eps: np.ndarray, nfe: int, *,
         t_k, t_next = grid[k], grid[k + 1]
         t = np.full(b, t_k, dtype=_F32)
         r = np.full(b, t_next, dtype=_F32)
-        u = _step_u(field, c, x, r, t, guidance_w, null_c)
+        u = field(c, x, r, t)
+        if guidance_w != 1.0 and null_c is not None:
+            u = guide(u, field(null_c, x, r, t), guidance_w)
         x = x - (t_k - t_next) * u
     if not np.all(np.isfinite(x)):
         raise SampleError("non-finite sample")
     return x
-
-
-def null_condition_array(params: dict[str, Tensor], batch: int,
-                         cond_len: int) -> np.ndarray:
-    vec = params["theta/c_null"].data
-    return np.broadcast_to(vec.reshape(1, 1, -1),
-                           (batch, cond_len, vec.size)).astype(_F32)
 
 
 @dataclass
@@ -134,11 +108,10 @@ def sample_batch(params: dict[str, Tensor], dims: ModelDims, c: np.ndarray,
     eps = normal_f32(rng, (b, sample_len, dims.data_dim))
     h = normal_f32(rng, (b, 1, dims.latent_dim)) if dims.latent_tokens else None
     field = ModelField(params, dims, h=h)
+    null_c = (null_condition_tokens(params, b, c.shape[1]).data
+              if guidance_w != 1.0 or not conditional else None)
     if not conditional:
-        c = null_condition_array(params, b, c.shape[1])
-        guidance_w = 1.0
-    null_c = (null_condition_array(params, b, c.shape[1])
-              if guidance_w != 1.0 else None)
+        c, null_c = null_c, None
     x = sample_multi_step(field, c, eps, nfe, guidance_w=guidance_w,
                           null_c=null_c)
     return SampleResult(x=x, eps=eps, calls=field.calls)

@@ -15,6 +15,7 @@ import pytest
 
 from fdcheck import rel_err
 from test_mask import assert_matches_oracle
+from test_sampling import one_shot
 from test_training import (frozen_target_loss, pinned_setup, recover_target,
                            run_steps, shared_data, small_cfg)
 
@@ -30,8 +31,7 @@ from vmflow.metrics import conditional_metrics, mode_coverage
 from vmflow.model import ModelDims, null_condition_tokens, theta_forward
 from vmflow.optim import Adam
 from vmflow.rng import make_rng, normal_f32
-from vmflow.sampling import (ModelField, null_condition_array, sample_batch,
-                             sample_multi_step, sample_one_nfe)
+from vmflow.sampling import ModelField, sample_batch, sample_multi_step
 from vmflow.tensor import Tensor
 from vmflow import tensor as T
 from vmflow.training import (StepDraws, dims_for, flow_loss, init_params,
@@ -351,7 +351,7 @@ def test_c06_sampler_algebra():
     # one multi-step step is the closed-form single evaluation, bitwise
     fa, fb = ModelField(params, dims), ModelField(params, dims)
     ok &= bool(np.array_equal(sample_multi_step(fa, c, eps, 1),
-                              sample_one_nfe(fb, c, eps)))
+                              one_shot(fb, c, eps)))
     ok &= fa.calls == 1 and fb.calls == 1
 
     # constant field: every step count telescopes to eps - u0
@@ -367,7 +367,7 @@ def test_c06_sampler_algebra():
         ok &= stub.calls == k
 
     # guidance at w = 1 short-circuits to the conditional pass, K evals
-    null_c = null_condition_array(params, 4, 2)
+    null_c = null_condition_tokens(params, 4, 2).data
     for k in (1, 4):
         fg, fp = ModelField(params, dims), ModelField(params, dims)
         guided = sample_multi_step(fg, c, eps, k, guidance_w=1.0, null_c=null_c)
@@ -380,7 +380,7 @@ def test_c06_sampler_algebra():
     u_u = normal_f32(rng, (1, 1, 2))
     for w in (0.0, 2.0):
         stub = _CondStubField(u_c, u_u, c)
-        got = sample_one_nfe(stub, c, eps, guidance_w=w, null_c=null_c)
+        got = sample_multi_step(stub, c, eps, 1, guidance_w=w, null_c=null_c)
         mix = (F32(w) * np.broadcast_to(u_c, eps.shape)
                + F32(1.0 - w) * np.broadcast_to(u_u, eps.shape)).astype(F32)
         ok &= bool(np.array_equal(got, eps - mix))

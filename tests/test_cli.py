@@ -224,6 +224,48 @@ def test_train_resume_appends_log(tmp_path):
     assert [r["step"] for r in rows] == list(range(1, 13))
 
 
+def test_resume_cuts_the_log_back_to_the_checkpoint(tmp_path):
+    """Resuming a finished 4-epoch run from epoch 2 drops the log rows after
+    the checkpoint's step, and a crash's partial last row, before appending,
+    so each step appears once."""
+    data = _gen_ring(tmp_path)
+    cfg_path = _write_config(tmp_path, data, epochs=4)  # 2 steps per epoch
+    run = tmp_path / "run"
+    assert main(["train", "--config", str(cfg_path)]) == 0
+    with open(run / "train.log.jsonl", "a") as fh:
+        fh.write('{"step": 9, "lo')
+    assert main(["train", "--config", str(cfg_path), "--resume",
+                 str(run / "checkpoints" / "epoch_0002.ckpt")]) == 0
+    rows = _read_jsonl(run / "train.log.jsonl")
+    assert [r["step"] for r in rows] == list(range(1, 9))
+
+
+@pytest.mark.parametrize("override,ckpt,code,error", [
+    ("lr=0.5", "nope.ckpt", 4, "FileNotFoundError"),
+    ("width=32", "epoch_0002.ckpt", 3, "CheckpointError"),
+])
+def test_failed_resume_leaves_the_run_unchanged(tmp_path, capsys, override, ckpt,
+                                                code, error):
+    """A resume that cannot start rewrites neither config.json nor the log."""
+    data = _gen_ring(tmp_path)
+    cfg_path = _write_config(tmp_path, data)
+    run = tmp_path / "run"
+    assert main(["train", "--config", str(cfg_path)]) == 0
+    before = {p.name: p.read_bytes() for p in run.iterdir() if p.is_file()}
+    rc = main(["train", "--config", str(cfg_path), "--set", override,
+               "--epochs", "3", "--resume", str(run / "checkpoints" / ckpt)])
+    assert rc == code
+    assert _stderr_error(capsys)["error"] == error
+    assert {p.name: p.read_bytes() for p in run.iterdir() if p.is_file()} == before
+
+
+def test_missing_dataset_leaves_no_run_directory(tmp_path, capsys):
+    cfg = _write_config(tmp_path, tmp_path / "absent.jsonl")
+    assert main(["train", "--config", str(cfg)]) == 4
+    assert _stderr_error(capsys)["exit_code"] == 4
+    assert not (tmp_path / "run").exists()
+
+
 # ---------------------------------------------------------------------------
 # granger
 

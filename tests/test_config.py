@@ -149,3 +149,15 @@ def test_override_can_break_constraint(tmp_path):
     save_config(str(path), RunConfig(variant="FM"))
     with pytest.raises(ConfigError):
         load_config(str(path), overrides={"p_equal": 0.3})
+
+
+def test_failed_save_keeps_the_previous_config(tmp_path):
+    path = tmp_path / "config.json"
+    save_config(path, RunConfig(variant="VMF"))
+    before = path.read_bytes()
+    cfg = RunConfig(variant="FM")
+    cfg.dataset = object()  # json.dump has written the keys before it when it fails
+    with pytest.raises(TypeError):
+        save_config(path, cfg)
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]

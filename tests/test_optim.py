@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from vmflow.optim import Adam, AdamState, NonFiniteGradError, adam_update, grad_global_norm
+from vmflow.optim import Adam, NonFiniteGradError, _adam_arrays
 from vmflow.tensor import parameter
 
 RNG = np.random.default_rng(7)
@@ -57,13 +57,12 @@ def test_first_step_direction_is_negative_grad_sign():
 
 def test_nonfinite_grad_raises_with_name():
     p = parameter(np.ones(3, dtype=np.float32))
-    st = AdamState(np.zeros(3, np.float32), np.zeros(3, np.float32))
-    bad = np.array([1.0, np.nan, 2.0], dtype=np.float32)
+    p.grad = np.array([1.0, np.nan, 2.0], dtype=np.float32)
     with pytest.raises(NonFiniteGradError, match="theta/blk0"):
-        adam_update(p, bad, st, step=1, name="theta/blk0/w")
-    bad_inf = np.array([np.inf, 0.0, 0.0], dtype=np.float32)
+        Adam({"theta/blk0/w": p}).step()
+    p.grad = np.array([np.inf, 0.0, 0.0], dtype=np.float32)
     with pytest.raises(NonFiniteGradError):
-        adam_update(p, bad_inf, st, step=1, name="x")
+        Adam({"x": p}).step()
 
 
 def test_params_without_grad_are_skipped():
@@ -107,22 +106,22 @@ def test_step_is_bitwise_adam_update_per_tensor():
     init = {k: RNG.standard_normal(s).astype(np.float32) for k, s in shapes.items()}
     params = {k: parameter(v) for k, v in init.items()}
     opt = Adam(params, lr=3e-3)
-    ref = {k: parameter(v) for k, v in init.items()}
-    ref_state = {k: AdamState(np.zeros(s, np.float32), np.zeros(s, np.float32))
-                 for k, s in shapes.items()}
+    # per tensor (value, m, v), stepped by Adam's rule on that tensor alone
+    ref = {k: (v, np.zeros_like(v), np.zeros_like(v)) for k, v in init.items()}
     for step in range(1, 6):
         for k, s in shapes.items():
             g = None if k == "frozen" and step % 2 else \
                 (RNG.standard_normal(s) * 10.0 ** (step - 3)).astype(np.float32)
             params[k].grad = g
             if g is not None:
-                adam_update(ref[k], g, ref_state[k], step, lr=3e-3, name=k)
+                p, m, v = ref[k]
+                ref[k] = _adam_arrays(p, g, m, v, step, 3e-3, 0.9, 0.999, 1e-8)
         opt.step()
         for k in shapes:
-            assert params[k].data.tobytes() == ref[k].data.tobytes(), (step, k)
+            assert params[k].data.tobytes() == ref[k][0].tobytes(), (step, k)
             assert params[k].data.shape == shapes[k]
-            assert opt.state[k].m.tobytes() == ref_state[k].m.tobytes(), (step, k)
-            assert opt.state[k].v.tobytes() == ref_state[k].v.tobytes(), (step, k)
+            assert opt.state[k].m.tobytes() == ref[k][1].tobytes(), (step, k)
+            assert opt.state[k].v.tobytes() == ref[k][2].tobytes(), (step, k)
 
 
 def test_step_with_nonfinite_grad_names_it_and_updates_nothing():
@@ -136,10 +135,3 @@ def test_step_with_nonfinite_grad_names_it_and_updates_nothing():
     assert np.array_equal(p.data, np.ones(3, dtype=np.float32))
     assert not opt.state["theta/p"].m.any()
 
-
-def test_grad_global_norm():
-    p = parameter(np.zeros(3, np.float32))
-    q = parameter(np.zeros(4, np.float32))
-    p.grad = np.full(3, 2.0, np.float32)
-    q.grad = None
-    assert abs(grad_global_norm({"p": p, "q": q}) - np.sqrt(12.0)) < 1e-6

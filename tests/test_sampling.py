@@ -5,11 +5,10 @@ import pytest
 
 from vmflow import sampling
 from vmflow import tensor as T
-from vmflow.model import ModelDims, theta_forward
+from vmflow.model import ModelDims, null_condition_tokens, theta_forward
 from vmflow.rng import make_rng, normal_f32
-from vmflow.sampling import (ModelField, SampleError, guide,
-                             null_condition_array, sample_batch,
-                             sample_multi_step, sample_one_nfe)
+from vmflow.sampling import (ModelField, SampleError, guide, sample_batch,
+                             sample_multi_step)
 from vmflow.tensor import Tensor
 from vmflow.training import init_params
 
@@ -30,6 +29,17 @@ def real_field(seed=0, bsz=4, variational=True):
     c = normal_f32(rng, (bsz, 2, 3))
     eps = normal_f32(rng, (bsz, 3, 2))
     return ModelField(params, dims, h=h), params, c, eps
+
+
+def one_shot(field, c, eps, w=1.0, null_c=None):
+    """The one-shot mean-flow rule x = eps - u(c, eps, r=0, t=1), with u
+    guided against null_c when w != 1."""
+    b = eps.shape[0]
+    r, t = np.zeros(b, dtype=F32), np.ones(b, dtype=F32)
+    u = field(c, eps, r, t)
+    if w != 1.0:
+        u = guide(u, field(null_c, eps, r, t), w)
+    return eps - u
 
 
 # ---------------------------------------------------------------------------
@@ -68,7 +78,7 @@ def test_zero_field_returns_noise_bitwise():
     rng = make_rng(3)
     eps = normal_f32(rng, (4, 3, 2))
     c = normal_f32(rng, (4, 2, 3))
-    out = sample_one_nfe(lambda c_, z, r, t: np.zeros_like(z), c, eps)
+    out = sample_multi_step(lambda c_, z, r, t: np.zeros_like(z), c, eps, 1)
     assert np.array_equal(out, eps)
 
 
@@ -76,7 +86,7 @@ def test_identity_on_noise_field_returns_zero():
     rng = make_rng(4)
     eps = normal_f32(rng, (4, 3, 2))
     c = normal_f32(rng, (4, 2, 3))
-    out = sample_one_nfe(lambda c_, z, r, t: z, c, eps)
+    out = sample_multi_step(lambda c_, z, r, t: z, c, eps, 1)
     assert np.array_equal(out, np.zeros_like(eps))
 
 
@@ -137,11 +147,11 @@ def test_affine_stub_matches_closed_form():
 
 def test_k1_multi_step_is_one_nfe_bitwise():
     field, params, c, eps = real_field(seed=7)
-    a = sample_one_nfe(field, c, eps)
+    a = one_shot(field, c, eps)
     bb = sample_multi_step(field, c, eps, 1)
     assert np.array_equal(a, bb)
-    null_c = null_condition_array(params, 4, 2)
-    a = sample_one_nfe(field, c, eps, guidance_w=1.5, null_c=null_c)
+    null_c = null_condition_tokens(params, 4, 2).data
+    a = one_shot(field, c, eps, w=1.5, null_c=null_c)
     bb = sample_multi_step(field, c, eps, 1, guidance_w=1.5, null_c=null_c)
     assert np.array_equal(a, bb)
 
@@ -152,22 +162,23 @@ def test_nfe_counts():
         sample_multi_step(field, c, eps, k)
         assert field.calls == k
         field.calls = 0
-        null_c = null_condition_array(params, 4, 2)
+        null_c = null_condition_tokens(params, 4, 2).data
         sample_multi_step(field, c, eps, k, guidance_w=2.0, null_c=null_c)
         assert field.calls == 2 * k
 
 
 def test_guided_step_matches_manual_affine():
     field, params, c, eps = real_field(seed=9)
-    null_c = null_condition_array(params, 4, 2)
+    null_c = null_condition_tokens(params, 4, 2).data
     r = np.zeros(4, dtype=F32)
     t = np.ones(4, dtype=F32)
     u_c = field(c, eps, r, t)
     u_u = field(null_c, eps, r, t)
     for w in (0.0, 2.0):
         want = eps - (F32(w) * u_c + F32(1.0 - w) * u_u)
-        got = sample_one_nfe(field, c, eps, guidance_w=w, null_c=null_c)
+        got = sample_multi_step(field, c, eps, 1, guidance_w=w, null_c=null_c)
         assert np.array_equal(got, want), w
+        assert np.array_equal(got, one_shot(field, c, eps, w, null_c)), w
 
 
 def test_sample_batch_deterministic_and_counted():
@@ -188,7 +199,7 @@ def test_sample_batch_draw_order_noise_then_latent():
     eps = normal_f32(rng, (4, 3, 2))
     h = normal_f32(rng, (4, 1, 4))
     assert np.array_equal(res.eps, eps)
-    manual = sample_one_nfe(ModelField(params, DIMS, h=h), c, eps)
+    manual = one_shot(ModelField(params, DIMS, h=h), c, eps)
     assert np.array_equal(res.x, manual)
 
 
@@ -198,7 +209,7 @@ def test_unconditional_short_circuits():
                        guidance_w=2.0, conditional=False)
     assert res.calls == 2  # guidance forced off against the null condition
     # equals an explicit null-condition conditional run on the same stream
-    null_c = null_condition_array(params, 4, 2)
+    null_c = null_condition_tokens(params, 4, 2).data
     ref = sample_batch(params, DIMS, null_c, 3, make_rng(9), nfe=2,
                        guidance_w=1.0)
     assert np.array_equal(res.x, ref.x)
@@ -228,11 +239,11 @@ def test_errors():
     with pytest.raises(SampleError):
         sample_multi_step(lambda c_, z, r, t: z, c, eps, 0)
     with pytest.raises(SampleError):
-        sample_one_nfe(lambda c_, z, r, t: np.full_like(z, np.inf), c, eps)
+        sample_multi_step(lambda c_, z, r, t: np.full_like(z, np.inf), c, eps, 1)
     field, params, cc, eps2 = real_field(seed=16)
     params["theta/head/w"].data[0, 0] = np.nan
     with pytest.raises(SampleError, match="model output"):
-        sample_one_nfe(field, cc, eps2)
+        sample_multi_step(field, cc, eps2, 1)
 
 
 # ---------------------------------------------------------------------------
