@@ -7,6 +7,7 @@ always produce identical bytes.
 """
 from __future__ import annotations
 
+import math
 import os
 import struct
 from contextlib import contextmanager
@@ -78,13 +79,15 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
     out: dict[str, np.ndarray] = {}
     for _ in range(count):
         (name_len,) = struct.unpack("<H", take(2))
-        name = take(name_len).decode("utf-8")
-        (rank,) = struct.unpack("B", take(1))
-        dims = struct.unpack(f"<{rank}Q", take(8 * rank))
-        n_elem = 1
-        for d in dims:
-            n_elem *= d
-        data = np.frombuffer(take(4 * n_elem), dtype="<f4").reshape(dims)
+        try:  # a name that is not UTF-8, or an empty tensor numpy cannot shape
+            name = take(name_len).decode("utf-8")
+            (rank,) = struct.unpack("B", take(1))
+            dims = struct.unpack(f"<{rank}Q", take(8 * rank))
+            if 4 * math.prod(dims) > len(blob) - off:  # before a size is printed
+                raise CheckpointError(f"truncated checkpoint: tensor {name!r} runs past the end")
+            data = np.frombuffer(take(4 * math.prod(dims)), dtype="<f4").reshape(dims)
+        except ValueError as e:
+            raise CheckpointError(f"bad tensor before byte {off}: {e}") from None
         out[name] = data.astype(np.float32, copy=True)
     if off != len(blob):
         raise CheckpointError(f"{len(blob) - off} trailing bytes after last tensor")

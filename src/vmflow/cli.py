@@ -55,10 +55,22 @@ def _parse_overrides(pairs: list[str]) -> dict:
 
 def _checkpoint_tensors(params: dict[str, Tensor], opt: Adam,
                         epoch: int) -> dict[str, np.ndarray]:
-    tensors: dict[str, np.ndarray] = {f"param/{k}": p.data for k, p in params.items()}
-    tensors.update(opt.state_tensors())
-    tensors["meta/epoch"] = np.asarray([epoch], dtype=np.float32)
-    return tensors
+    """What `vmflow train` checkpoints: parameters, Adam's state, the epoch."""
+    return {**{f"param/{k}": p.data for k, p in params.items()}, **opt.state_tensors(),
+            "meta/epoch": np.asarray([epoch], dtype=np.float32)}
+
+
+def _count(tensors: dict[str, np.ndarray], name: str, path) -> int:
+    """A checkpoint's counter `name` (0 when absent): one whole number >= 0."""
+    val = tensors.get(name, np.zeros(1))
+    if val.shape != (1,) or not (float(val[0]).is_integer() and val[0] >= 0):
+        raise CheckpointError(f"{path}: {name} must be one whole non-negative number")
+    return int(val[0])
+
+
+def _check_layout(path, got: dict, want: dict):
+    if {k: v.shape for k, v in got.items()} != {k: v.shape for k, v in want.items()}:
+        raise CheckpointError(f"{path}: tensor names or shapes do not fit the config's model")
 
 
 def load_params(path) -> tuple[dict[str, Tensor], dict[str, np.ndarray], int]:
@@ -67,11 +79,8 @@ def load_params(path) -> tuple[dict[str, Tensor], dict[str, np.ndarray], int]:
     raw = load_checkpoint(path)
     params = {k[len("param/"):]: parameter(v) for k, v in raw.items()
               if k.startswith("param/")}
-    if not params:
-        raise CheckpointError(f"{path}: no parameters in checkpoint")
     opt_state = {k: v for k, v in raw.items() if k.startswith("adam/")}
-    epoch = int(raw["meta/epoch"][0]) if "meta/epoch" in raw else 0
-    return params, opt_state, epoch
+    return params, opt_state, _count(raw, "meta/epoch", path)
 
 
 # ---------------------------------------------------------------------------
@@ -90,25 +99,31 @@ def _cmd_train(args) -> int:
 
     # every input is checked before the run directory is touched
     params, opt, start_epoch = None, None, 0
-    if args.resume:
-        params, opt_state, start_epoch = load_params(args.resume)
-        dims = dims_for(cfg, cond_dim=c.shape[2], data_dim=x.shape[2])
-        want = {k: p.shape for k, p in init_params(make_rng(0), dims).items()}
-        if {k: p.shape for k, p in params.items()} != want:
-            raise CheckpointError(f"{args.resume}: parameter names or shapes "
-                                  f"do not fit the config's model")
-        opt = Adam(params, lr=cfg.lr)
-        opt.load_state_tensors(opt_state)
-
     out = Path(cfg.out_dir)
+    log_path = out / "train.log.jsonl"
+    if args.resume:  # a fresh run of the config takes the checkpoint's values
+        params = init_params(make_rng(0), dims_for(cfg, c.shape[2], x.shape[2]))
+        opt = Adam(params, lr=cfg.lr)
+        raw = load_checkpoint(args.resume)
+        _check_layout(args.resume, raw, _checkpoint_tensors(params, opt, 0))
+        start_epoch = _count(raw, "meta/epoch", args.resume)
+        _count(raw, "adam/step", args.resume)
+        if cfg.epochs < start_epoch:
+            raise ConfigError(f"epochs {cfg.epochs} is below the checkpoint's epoch {start_epoch}")
+        for k, p in params.items():
+            p.data = raw[f"param/{k}"]
+        opt.load_state_tensors(raw)
+        # the log keeps its rows up to the checkpoint's step, not a crash's partial row
+        rows = log_path.read_text().splitlines(True) if log_path.exists() else []
+        rows = list(takewhile(lambda r: r.endswith("\n") and
+                              json.loads(r)["step"] <= opt.step_count, rows))
+
     ckpt_dir = out / "checkpoints"
     ckpt_dir.mkdir(parents=True, exist_ok=True)
     save_config(out / "config.json", cfg)
-    log_path = out / "train.log.jsonl"
-    if args.resume:  # keep the rows up to the checkpoint's step, then continue
-        rows = log_path.read_text().splitlines(True) if log_path.exists() else []
-        with atomic_open(log_path) as fh:  # stops before a crash's partial row
-            fh.writelines(takewhile(lambda r: json.loads(r)["step"] <= opt.step_count, rows))
+    if args.resume:
+        with atomic_open(log_path) as fh:
+            fh.writelines(rows)
     with open(log_path, "a" if args.resume else "w") as log_fh:
         def log_fn(step, rep):
             log_fh.write(json.dumps({"step": step, **dataclasses.asdict(rep)}) + "\n")
@@ -153,6 +168,7 @@ def _cmd_sample(args) -> int:
     ckpt = args.checkpoint or run / "checkpoints" / "final.ckpt"
     params, _, _ = load_params(ckpt)
     dims = dims_for(cfg, cond_dim=c.shape[2], data_dim=x.shape[2])
+    _check_layout(ckpt, params, init_params(make_rng(0), dims))
 
     ids = np.arange(n) % x.shape[0]
     rng = make_rng(cfg.seed + _SAMPLE_SEED_OFFSET)

@@ -259,9 +259,9 @@ def train_model(cfg: RunConfig, data_x: np.ndarray, data_c: np.ndarray, *,
     chunks, so 4000 rows at batch_size 256 train as 15 batches of 266 or
     267 rows.
 
-    log_fn(step: int, report: LossReport) fires per step;
-    checkpoint_fn(epoch: int, params, opt) fires every checkpoint_every
-    epochs and at the end. Pass params/opt/start_epoch to resume.
+    log_fn(step: int, report: LossReport) fires per step with opt.step_count;
+    checkpoint_fn(epoch: int, params, opt) after each trained epoch that is a
+    multiple of checkpoint_every or the last. Pass params/opt/start_epoch to resume.
     """
     data_x = np.asarray(data_x, dtype=_F32)
     data_c = np.asarray(data_c, dtype=_F32)
@@ -274,21 +274,16 @@ def train_model(cfg: RunConfig, data_x: np.ndarray, data_c: np.ndarray, *,
     if opt is None:
         opt = Adam(params, lr=cfg.lr)
 
-    step = opt.step_count
     batches_per_epoch = max(1, n // cfg.batch_size)
-    saved_at = -1
     for epoch in range(start_epoch, cfg.epochs):
         perm = rng.permutation(n)
         for chunk in np.array_split(perm, batches_per_epoch):
             batch = make_flow_batch(data_x[chunk], data_c[chunk], rng, cfg)
             split = split_with_decay(sample_len, cfg.decay_factor, rng)
             report = train_step(params, dims, cfg, batch, split, opt, rng)
-            step += 1
             if log_fn is not None:
-                log_fn(step, report)
-        if checkpoint_fn is not None and (epoch + 1) % cfg.checkpoint_every == 0:
+                log_fn(opt.step_count, report)
+        if checkpoint_fn is not None and ((epoch + 1) % cfg.checkpoint_every == 0
+                                          or epoch + 1 == cfg.epochs):
             checkpoint_fn(epoch + 1, params, opt)
-            saved_at = epoch + 1
-    if checkpoint_fn is not None and saved_at != cfg.epochs:
-        checkpoint_fn(cfg.epochs, params, opt)
     return params, dims, opt

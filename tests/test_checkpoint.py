@@ -93,3 +93,18 @@ def test_failed_save_keeps_existing_file(tmp_path):
         save_checkpoint(path, {"a": np.ones(3, dtype=np.float32), "b" * 70000: np.ones(2)})
     assert path.read_bytes() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["final.ckpt"]
+
+
+@pytest.mark.parametrize("name,dims,data,match", [
+    (b"w\xff", (2,), b"\x00" * 8, "utf-8"),
+    # every dim 2**64 - 1 at rank 255: the byte count has over 4,300 digits
+    (b"w", (2**64 - 1,) * 255, b"\x00" * 8, "truncated"),
+    (b"w", (0, 2**64 - 1), b"", "dimension"),  # empty, but numpy cannot shape it
+], ids=["name-not-utf8", "size-too-long-to-print", "empty-unshapeable"])
+def test_malformed_tensor_header_rejected(tmp_path, name, dims, data, match):
+    path = tmp_path / "bad.ckpt"
+    path.write_bytes(MAGIC + struct.pack("<I", 1) + struct.pack("<H", len(name)) + name
+                     + struct.pack("B", len(dims)) + struct.pack(f"<{len(dims)}Q", *dims)
+                     + data)
+    with pytest.raises(CheckpointError, match=match):
+        load_checkpoint(path)

@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from vmflow.checkpoint import load_checkpoint
+from vmflow.checkpoint import load_checkpoint, save_checkpoint
 from vmflow.cli import _exit_code, load_params, main
 from vmflow.config import load_config
 from vmflow.datasets import SequenceCodec, load_dataset_jsonl
@@ -227,7 +227,9 @@ def test_train_resume_appends_log(tmp_path):
 def test_resume_cuts_the_log_back_to_the_checkpoint(tmp_path):
     """Resuming a finished 4-epoch run from epoch 2 drops the log rows after
     the checkpoint's step, and a crash's partial last row, before appending,
-    so each step appears once."""
+    so each step appears once. A partial row right after the checkpoint's
+    step, as a crash in the first step after a checkpoint leaves it, goes
+    too."""
     data = _gen_ring(tmp_path)
     cfg_path = _write_config(tmp_path, data, epochs=4)  # 2 steps per epoch
     run = tmp_path / "run"
@@ -239,24 +241,95 @@ def test_resume_cuts_the_log_back_to_the_checkpoint(tmp_path):
     rows = _read_jsonl(run / "train.log.jsonl")
     assert [r["step"] for r in rows] == list(range(1, 9))
 
+    with open(run / "train.log.jsonl", "a") as fh:
+        fh.write('{"step": 9, "l2": 0.4')
+    assert main(["train", "--config", str(cfg_path), "--epochs", "5", "--resume",
+                 str(run / "checkpoints" / "epoch_0004.ckpt")]) == 0
+    rows = _read_jsonl(run / "train.log.jsonl")
+    assert [r["step"] for r in rows] == list(range(1, 11))
+
+
+# Checkpoints a test makes from a run's epoch_0002.ckpt, by file name
+_BAD_CHECKPOINTS = {
+    "params-only.ckpt": lambda t: {k: v for k, v in t.items() if k.startswith("param/")},
+    "transposed-moment.ckpt": lambda t: {**t, "adam/m/phi/lv/w": t["adam/m/phi/lv/w"].T},
+    "short-moment.ckpt": lambda t: {**t, "adam/m/phi/lv/w": t["adam/m/phi/lv/w"][:1]},
+    "nan-epoch.ckpt": lambda t: {**t, "meta/epoch": np.array([np.nan], np.float32)},
+    "inf-step.ckpt": lambda t: {**t, "adam/step": np.array([np.inf], np.float32)},
+    "renamed-param.ckpt": lambda t: {k.replace("theta/head/", "theta/out/"): v
+                                     for k, v in t.items()},
+}
+
+
+def _bad_checkpoint(run, name):
+    ckpts = run / "checkpoints"
+    tensors = load_checkpoint(ckpts / "epoch_0002.ckpt")
+    save_checkpoint(ckpts / name, _BAD_CHECKPOINTS[name](tensors))
+
+
+def _files(run):
+    return {str(p.relative_to(run)): p.read_bytes()
+            for p in sorted(run.rglob("*")) if p.is_file()}
+
 
 @pytest.mark.parametrize("override,ckpt,code,error", [
     ("lr=0.5", "nope.ckpt", 4, "FileNotFoundError"),
     ("width=32", "epoch_0002.ckpt", 3, "CheckpointError"),
+    ("lr=0.5", "params-only.ckpt", 3, "CheckpointError"),
+    ("lr=0.5", "transposed-moment.ckpt", 3, "CheckpointError"),
+    ("lr=0.5", "short-moment.ckpt", 3, "CheckpointError"),
+    ("lr=0.5", "nan-epoch.ckpt", 3, "CheckpointError"),
+    ("lr=0.5", "inf-step.ckpt", 3, "CheckpointError"),
 ])
 def test_failed_resume_leaves_the_run_unchanged(tmp_path, capsys, override, ckpt,
                                                 code, error):
-    """A resume that cannot start rewrites neither config.json nor the log."""
+    """A resume that cannot start rewrites neither config.json nor the log,
+    nor any checkpoint."""
     data = _gen_ring(tmp_path)
     cfg_path = _write_config(tmp_path, data)
     run = tmp_path / "run"
     assert main(["train", "--config", str(cfg_path)]) == 0
-    before = {p.name: p.read_bytes() for p in run.iterdir() if p.is_file()}
+    if ckpt in _BAD_CHECKPOINTS:
+        _bad_checkpoint(run, ckpt)
+    before = _files(run)
     rc = main(["train", "--config", str(cfg_path), "--set", override,
                "--epochs", "3", "--resume", str(run / "checkpoints" / ckpt)])
     assert rc == code
     assert _stderr_error(capsys)["error"] == error
-    assert {p.name: p.read_bytes() for p in run.iterdir() if p.is_file()} == before
+    assert _files(run) == before
+
+
+def test_resume_refuses_epochs_below_the_checkpoint(tmp_path, capsys):
+    """Resuming to fewer epochs than the checkpoint's exits 3 and writes
+    nothing; resuming to exactly as many trains nothing and writes nothing."""
+    data = _gen_ring(tmp_path)
+    cfg_path = _write_config(tmp_path, data)  # 2 epochs, a checkpoint each
+    run = tmp_path / "run"
+    assert main(["train", "--config", str(cfg_path)]) == 0
+    before = _files(run)
+    argv = ["train", "--config", str(cfg_path), "--resume",
+            str(run / "checkpoints" / "epoch_0002.ckpt"), "--set"]
+    assert main(argv + ["epochs=1"]) == 3
+    assert _stderr_error(capsys)["error"] == "ConfigError"
+    assert _files(run) == before
+    assert main(argv + ["epochs=2"]) == 0
+    assert _files(run) == before
+
+
+@pytest.mark.parametrize("ckpt", ["renamed-param.ckpt", "nan-epoch.ckpt"])
+def test_sample_refuses_a_checkpoint_that_does_not_fit(tmp_path, capsys, ckpt):
+    """vmflow sample checks the checkpoint's parameter names and shapes
+    against the config's model, and its epoch: exit 3, no output file."""
+    data = _gen_ring(tmp_path)
+    cfg_path = _write_config(tmp_path, data)
+    run = tmp_path / "run"
+    assert main(["train", "--config", str(cfg_path)]) == 0
+    _bad_checkpoint(run, ckpt)
+    out = tmp_path / "samples.jsonl"
+    assert main(["sample", "--run", str(run), "--checkpoint",
+                 str(run / "checkpoints" / ckpt), "--out", str(out)]) == 3
+    assert _stderr_error(capsys)["error"] == "CheckpointError"
+    assert not out.exists()
 
 
 def test_missing_dataset_leaves_no_run_directory(tmp_path, capsys):
