@@ -1,4 +1,5 @@
-"""Flat binary checkpoint format for named float32 tensors.
+"""Flat binary checkpoint format for named float32 tensors, and the one
+writer of every file `vmflow` outputs (`atomic_open`, `write_files`).
 
 Layout: 8-byte magic, u32 LE tensor count, then per tensor a u16 LE name
 length, the UTF-8 name, a u8 rank, rank u64 LE dims, and the raw f32 LE
@@ -7,10 +8,11 @@ always produce identical bytes.
 """
 from __future__ import annotations
 
+import json
 import math
 import os
 import struct
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 
 import numpy as np
 
@@ -33,10 +35,25 @@ def atomic_open(path, mode: str = "w"):
         with open(tmp, mode) as fh:
             yield fh
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as e:
         if os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(e, OSError) and e.filename == tmp:  # name the file asked for
+            raise type(e)(e.errno, e.strerror, os.fspath(path)) from None
         raise
+
+
+def json_text(obj) -> str:
+    """The layout of every JSON artifact: indent 2, sorted keys, a newline."""
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def write_files(texts: dict) -> None:
+    """Write each path's text through `atomic_open`, all or none: no file is
+    renamed into place before every one is written."""
+    with ExitStack() as stack:
+        for path, text in texts.items():
+            stack.enter_context(atomic_open(path)).write(text)
 
 
 def save_checkpoint(path, tensors: dict):

@@ -12,18 +12,17 @@ import argparse
 import dataclasses
 import json
 import sys
-from itertools import takewhile
 from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import (CheckpointError, atomic_open, load_checkpoint,
-                         save_checkpoint)
+from .checkpoint import (CheckpointError, json_text, load_checkpoint,
+                         save_checkpoint, write_files)
 from .config import ConfigError, VariantError, load_config, save_config
 from .datasets import (DatasetError, SequenceCodec, ToySequenceSpec,
                        load_dataset_jsonl, make_gmm_dataset,
-                       make_sequence_dataset, read_jsonl, ring_spec,
-                       save_dataset_jsonl)
+                       make_sequence_dataset, read_jsonl, read_train_log,
+                       ring_spec, row_array, save_dataset_jsonl)
 from .granger import GrangerError, P_BIN_LABELS, latent_causality_report
 from .mask import (GroupSplit, MaskError, build_mask, mask_summary,
                    render_ascii, render_pgm, split_with_decay)
@@ -87,18 +86,13 @@ def load_params(path) -> tuple[dict[str, Tensor], dict[str, np.ndarray], int]:
 # subcommands
 
 def _cmd_train(args) -> int:
-    overrides = _parse_overrides(args.set or [])
-    for key in ("seed", "epochs", "lr", "variant"):
-        val = getattr(args, key)
-        if val is not None:
-            overrides[key] = val
-    cfg = load_config(args.config, overrides)
+    cfg = load_config(args.config, _parse_overrides(args.set or []))
     if args.out:
         cfg.out_dir = args.out
     x, c, _ = load_dataset_jsonl(cfg.dataset)
 
     # every input is checked before the run directory is touched
-    params, opt, start_epoch = None, None, 0
+    params, opt, start_epoch, kept_log = None, None, 0, ""
     out = Path(cfg.out_dir)
     log_path = out / "train.log.jsonl"
     if args.resume:  # a fresh run of the config takes the checkpoint's values
@@ -114,17 +108,13 @@ def _cmd_train(args) -> int:
             p.data = raw[f"param/{k}"]
         opt.load_state_tensors(raw)
         # the log keeps its rows up to the checkpoint's step, not a crash's partial row
-        rows = log_path.read_text().splitlines(True) if log_path.exists() else []
-        rows = list(takewhile(lambda r: r.endswith("\n") and
-                              json.loads(r)["step"] <= opt.step_count, rows))
+        kept_log = read_train_log(log_path, opt.step_count) if log_path.exists() else ""
 
     ckpt_dir = out / "checkpoints"
     ckpt_dir.mkdir(parents=True, exist_ok=True)
     save_config(out / "config.json", cfg)
-    if args.resume:
-        with atomic_open(log_path) as fh:
-            fh.writelines(rows)
-    with open(log_path, "a" if args.resume else "w") as log_fh:
+    write_files({log_path: kept_log})  # the streaming handle below appends to it
+    with open(log_path, "a") as log_fh:
         def log_fn(step, rep):
             log_fh.write(json.dumps({"step": step, **dataclasses.asdict(rep)}) + "\n")
 
@@ -142,12 +132,15 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _decoder_for(meta: list[dict]):
-    """Domain payload decoder from dataset row metadata."""
-    head = meta[0] if meta else {}
+def _decoder_for(meta: list[dict], path):
+    """Domain payload decoder from the first dataset row's metadata."""
+    head = meta[0] if isinstance(meta[0], dict) else {}
     if head.get("domain") == "sequences":
-        codec = SequenceCodec(head["vocab"], head["length"], head["dim"],
-                              seed=head["codec_seed"])
+        sizes = [head.get(k) for k in ("vocab", "length", "dim", "codec_seed")]
+        if not all(type(v) is int and v >= 0 for v in sizes):
+            raise DatasetError(f"{path}: row 1: sequences meta needs whole numbers "
+                               f">= 0 for vocab, length, dim and codec_seed")
+        codec = SequenceCodec(*sizes[:3], seed=sizes[3])
         return lambda xi: codec.decode(xi[None])[0].tolist()
     return lambda xi: np.asarray(xi, dtype=float).ravel().tolist()
 
@@ -165,6 +158,7 @@ def _cmd_sample(args) -> int:
 
     data_path = args.data or cfg.dataset
     x, c, meta = load_dataset_jsonl(data_path)
+    decode = _decoder_for(meta, data_path)
     ckpt = args.checkpoint or run / "checkpoints" / "final.ckpt"
     params, _, _ = load_params(ckpt)
     dims = dims_for(cfg, cond_dim=c.shape[2], data_dim=x.shape[2])
@@ -174,62 +168,55 @@ def _cmd_sample(args) -> int:
     rng = make_rng(cfg.seed + _SAMPLE_SEED_OFFSET)
     result = sample_batch(params, dims, c[ids], x.shape[1], rng, nfe=nfe,
                           guidance_w=w, conditional=not args.unconditional)
-    decode = _decoder_for(meta)
 
+    rows = [{"id": i, "condition_id": int(ids[i]),
+             "latent": [float(v) for v in result.x[i].ravel()],
+             "latent_shape": list(result.x.shape[1:]),
+             "decoded": decode(result.x[i]),
+             "nfe": nfe, "w": w, "seed": cfg.seed} for i in range(n)]
     out_path = Path(args.out) if args.out else run / "samples.jsonl"
-    with open(out_path, "w") as fh:
-        for i in range(n):
-            row = {"id": i, "condition_id": int(ids[i]),
-                   "latent": [float(v) for v in result.x[i].ravel()],
-                   "latent_shape": list(result.x.shape[1:]),
-                   "decoded": decode(result.x[i]),
-                   "nfe": nfe, "w": w, "seed": cfg.seed}
-            fh.write(json.dumps(row) + "\n")
+    write_files({out_path: "".join(json.dumps(row) + "\n" for row in rows)})
     print(f"wrote {n} samples ({result.calls} field evaluations) -> {out_path}")
     return 0
 
 
-def _row_features(row: dict, path) -> np.ndarray:
-    payload = row.get("latent", row.get("x"))
-    if payload is None:
-        raise MetricError(f"{path}: row has neither 'latent' nor 'x'")
-    return np.asarray(payload, dtype=np.float64).ravel()
+def _features(rows: list[dict], path) -> list[np.ndarray]:
+    """Each row's latent (a dataset row's x), flattened."""
+    return [row_array(r, "latent" if "latent" in r else "x", path, i, np.float64).ravel()
+            for i, r in enumerate(rows, start=1)]
 
 
 def _cmd_eval(args) -> int:
     gen_rows = read_jsonl(args.samples)
-    ref_rows = read_jsonl(args.references)
-    refs = [_row_features(r, args.references) for r in ref_rows]
+    refs = _features(read_jsonl(args.references), args.references)
 
     if args.pair == "condition":
-        missing = [i for i, r in enumerate(gen_rows) if "condition_id" not in r]
-        if missing:
-            raise MetricError(f"rows {missing[:5]} lack condition_id; use --pair order")
-        idx = [int(r["condition_id"]) % len(refs) for r in gen_rows]
+        bad = [i for i, r in enumerate(gen_rows) if type(r.get("condition_id")) is not int]
+        if bad:
+            raise MetricError(f"rows {bad[:5]} lack an integer condition_id; use --pair order")
+        idx = [r["condition_id"] % len(refs) for r in gen_rows]
     else:
         idx = [i % len(refs) for i in range(len(gen_rows))]
 
-    gen = [_row_features(r, args.samples) for r in gen_rows]
+    gen = _features(gen_rows, args.samples)
     ref = [refs[j] for j in idx]
     valid = np.array([np.all(np.isfinite(g)) for g in gen])
     report = conditional_metrics(gen, ref, cosine_sim, valid=valid,
                                  sim_thresh=args.sim_thresh,
                                  novel_thresh=args.novel_thresh)
 
-    out_path = Path(args.out)
-    with open(out_path, "w") as fh:
-        json.dump(dataclasses.asdict(report), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    outputs = {args.out: json_text(dataclasses.asdict(report))}
     if args.curve:
         f = paired_cosine(np.stack(gen), np.stack(ref))
-        with open(args.curve, "w") as fh:
-            fh.write("threshold,similarity,novelty,diversity\n")
-            for th in np.arange(0.05, 1.0, 0.05):
-                sim = 100.0 * float(np.mean(f >= th))
-                nov = 100.0 * float(np.mean(f < th))
-                fh.write(f"{th:.2f},{sim:.4f},{nov:.4f},"
+        lines = ["threshold,similarity,novelty,diversity\n"]
+        for th in np.arange(0.05, 1.0, 0.05):
+            sim = 100.0 * float(np.mean(f >= th))
+            nov = 100.0 * float(np.mean(f < th))
+            lines.append(f"{th:.2f},{sim:.4f},{nov:.4f},"
                          f"{report.metrics['diversity']:.4f}\n")
-    print(f"overall {report.overall:.2f} over {report.n_samples} samples -> {out_path}")
+        outputs[args.curve] = "".join(lines)
+    write_files(outputs)
+    print(f"overall {report.overall:.2f} over {report.n_samples} samples -> {Path(args.out)}")
     return 0
 
 
@@ -247,46 +234,31 @@ def _cmd_mask(args) -> int:
     prefix = Path(args.out)
     prefix.parent.mkdir(parents=True, exist_ok=True)
     ascii_grid = render_ascii(mask)
-    with open(f"{prefix}.txt", "w") as fh:
-        fh.write(ascii_grid + "\n")
-    with open(f"{prefix}.pgm", "w") as fh:
-        fh.write(render_pgm(mask))
-    with open(f"{prefix}.json", "w") as fh:
-        json.dump(mask_summary(mask), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_files({f"{prefix}.txt": ascii_grid + "\n", f"{prefix}.pgm": render_pgm(mask),
+                 f"{prefix}.json": json_text(mask_summary(mask))})
     print(ascii_grid)
     return 0
 
 
-def _granger_latent(row: dict, path):
-    """A row's latent, reshaped to its latent_shape when it has one, as the
-    flat rows `vmflow sample` writes do."""
-    latent = row.get("latent")
-    if latent is None:
-        raise GrangerError(f"{path}: every row needs a 'latent' field")
-    if "latent_shape" not in row:
-        return latent
-    try:
-        return np.reshape(np.asarray(latent, dtype=np.float64), row["latent_shape"])
-    except (TypeError, ValueError) as e:
-        raise GrangerError(f"{path}: latent does not fit its latent_shape ({e})") from None
-
-
 def _cmd_granger(args) -> int:
-    payload = [_granger_latent(row, args.latents) for row in read_jsonl(args.latents)]
+    latents = []  # each reshaped to its latent_shape, as the flat rows of `vmflow sample`
+    for i, row in enumerate(read_jsonl(args.latents), start=1):
+        latent = row_array(row, "latent", args.latents, i, np.float64)
+        try:
+            latents.append(np.reshape(latent, row.get("latent_shape", latent.shape)))
+        except (TypeError, ValueError) as e:
+            raise GrangerError(f"{args.latents}: latent does not fit its "
+                               f"latent_shape ({e})") from None
     try:
-        arr = np.asarray(payload, dtype=np.float64)
+        arr = np.stack(latents)
     except ValueError as e:
-        raise GrangerError(f"{args.latents}: ragged latent arrays ({e})")
+        raise GrangerError(f"{args.latents}: ragged latent arrays ({e})") from None
     report = latent_causality_report(arr, max_lag=args.max_lag)
-    with open(args.out, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    outputs = {args.out: json_text(report)}
     if args.csv:
-        with open(args.csv, "w") as fh:
-            fh.write("bin,count\n")
-            for label in P_BIN_LABELS:
-                fh.write(f"{label},{report['bins'][label]}\n")
+        outputs[args.csv] = "bin,count\n" + "".join(
+            f"{label},{report['bins'][label]}\n" for label in P_BIN_LABELS)
+    write_files(outputs)
     print(json.dumps(report["bins"]))
     return 0
 
@@ -300,7 +272,6 @@ def _cmd_gen_data(args) -> int:
         data = make_gmm_dataset(spec)
         meta = [{"domain": "ring", "mode": int(m), "label": int(l)}
                 for m, l in zip(data.mode_ids, data.labels)]
-        save_dataset_jsonl(args.out, data.x, data.c, meta)
     else:
         spec = ToySequenceSpec(vocab=args.vocab, length=args.length,
                                dim=args.dim, n_sequences=args.n_sequences,
@@ -312,7 +283,7 @@ def _cmd_gen_data(args) -> int:
                  "length": spec.length, "dim": spec.dim,
                  "codec_seed": spec.seed + 1}
                 for i, t in enumerate(data.themes)]
-        save_dataset_jsonl(args.out, data.x, data.c, meta)
+    save_dataset_jsonl(args.out, data.x, data.c, meta)
     print(f"wrote {data.x.shape[0]} rows -> {args.out}")
     return 0
 
@@ -328,10 +299,6 @@ def _build_parser() -> argparse.ArgumentParser:
     t = sub.add_parser("train", help="train a model from a config file")
     t.add_argument("--config", required=True)
     t.add_argument("--out", help="run directory (overrides config out_dir)")
-    t.add_argument("--seed", type=int)
-    t.add_argument("--epochs", type=int)
-    t.add_argument("--lr", type=float)
-    t.add_argument("--variant")
     t.add_argument("--resume", help="checkpoint to continue from")
     t.add_argument("--set", action="append", metavar="KEY=VALUE",
                    help="override any config field")

@@ -8,10 +8,11 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import numbers
 from dataclasses import dataclass
 
-from .checkpoint import atomic_open
+from .checkpoint import json_text, write_files
 
 
 class ConfigError(ValueError):
@@ -101,10 +102,14 @@ class RunConfig:
             raise ConfigError(f"variant {v} requires beta = 0, got {self.beta}")
         if v in EQUAL_TIMES and self.p_equal != 1.0:
             raise ConfigError(f"variant {v} requires p_equal = 1, got {self.p_equal}")
-        if self.alpha < 0 or self.beta < 0:
-            raise ConfigError("alpha and beta must be non-negative")
-        if self.tau <= 0:
-            raise ConfigError(f"tau must be positive, got {self.tau}")
+        for field in ("alpha", "beta"):  # NaN fails every comparison
+            if not 0.0 <= getattr(self, field) < math.inf:
+                raise ConfigError(f"{field} must be finite and >= 0, got {getattr(self, field)}")
+        for field in ("lr", "tau", "lognorm_std"):
+            if not 0.0 < getattr(self, field) < math.inf:
+                raise ConfigError(f"{field} must be finite and > 0, got {getattr(self, field)}")
+        if not math.isfinite(self.lognorm_mean):
+            raise ConfigError(f"lognorm_mean must be finite, got {self.lognorm_mean}")
         if not (0.0 <= self.p_equal <= 1.0):
             raise ConfigError(f"p_equal must be in [0,1], got {self.p_equal}")
         if not (0.0 <= self.cond_dropout <= 1.0):
@@ -119,10 +124,12 @@ class RunConfig:
             raise ConfigError(f"nfe must be >= 1, got {self.nfe}")
         if self.disp_block >= self.blocks:
             raise ConfigError(f"disp_block {self.disp_block} out of range for {self.blocks} blocks")
-        for field in ("width", "heads", "blocks", "latent_dim", "epochs", "batch_size",
-                      "checkpoint_every", "n_samples"):
+        for field in ("width", "heads", "blocks", "latent_dim", "time_freqs", "phi_hidden",
+                      "epochs", "batch_size", "checkpoint_every", "n_samples"):
             if getattr(self, field) < 1:
                 raise ConfigError(f"{field} must be positive")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.width % self.heads:
             raise ConfigError(f"width {self.width} not divisible by heads {self.heads}")
 
@@ -148,10 +155,10 @@ def config_from_dict(raw: dict) -> RunConfig:
 
 
 def load_config(path, overrides: dict | None = None) -> RunConfig:
-    with open(path) as fh:
+    with open(path, "rb") as fh:
         try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as e:
+            raw = json.loads(fh.read().decode("utf-8"))
+        except ValueError as e:  # not UTF-8, or not JSON
             raise ConfigError(f"{path}: bad JSON ({e})") from None
     if not isinstance(raw, dict):
         raise ConfigError(f"config root must be an object, got {type(raw).__name__}")
@@ -161,6 +168,4 @@ def load_config(path, overrides: dict | None = None) -> RunConfig:
 
 
 def save_config(path, cfg: RunConfig):
-    with atomic_open(path) as fh:
-        json.dump(dataclasses.asdict(cfg), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_files({path: json_text(dataclasses.asdict(cfg))})

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .checkpoint import write_files
 from .rng import make_rng, normal_f32
 
 _F32 = np.float32
@@ -211,55 +212,78 @@ def make_sequence_dataset(spec: ToySequenceSpec) -> SequenceData:
 # ---------------------------------------------------------------------------
 # JSONL persistence
 
-def save_dataset_jsonl(path: str, x: np.ndarray, c: np.ndarray,
-                       meta: list[dict] | None = None) -> None:
+def save_dataset_jsonl(path: str, x: np.ndarray, c: np.ndarray, meta: list[dict]) -> None:
     n = x.shape[0]
-    meta = meta if meta is not None else [{} for _ in range(n)]
     if len(meta) != n or c.shape[0] != n:
         raise DatasetError("x, c, meta lengths differ")
-    with open(path, "w") as fh:
-        for i in range(n):
-            row = {"x": np.asarray(x[i], dtype=float).tolist(),
-                   "c": np.asarray(c[i], dtype=float).tolist(),
-                   "meta": meta[i]}
-            fh.write(json.dumps(row) + "\n")
+    rows = [{"x": np.asarray(x[i], dtype=float).tolist(),
+             "c": np.asarray(c[i], dtype=float).tolist(),
+             "meta": meta[i]} for i in range(n)]
+    write_files({path: "".join(json.dumps(row) + "\n" for row in rows)})
+
+
+def _parse_row(path, line_no: int, line: bytes) -> dict:
+    """One JSONL line as an object, or DatasetError naming path:line."""
+    try:
+        row = json.loads(line.decode("utf-8"))
+    except ValueError as e:
+        raise DatasetError(f"{path}:{line_no}: bad dataset row ({e})") from None
+    if not isinstance(row, dict):
+        raise DatasetError(f"{path}:{line_no}: bad dataset row (expected "
+                           f"a JSON object, got {type(row).__name__})")
+    return row
 
 
 def read_jsonl(path) -> list[dict]:
     """Every non-blank line of a JSONL file, parsed. Raises DatasetError
-    naming path:line on bad JSON or a row that is not an object, and when
-    the file has no rows."""
-    rows = []
-    with open(path) as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                row = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise DatasetError(f"{path}:{line_no}: bad dataset row ({e})")
-            if not isinstance(row, dict):
-                raise DatasetError(f"{path}:{line_no}: bad dataset row (expected "
-                                   f"a JSON object, got {type(row).__name__})")
-            rows.append(row)
+    naming path:line on a bad row, and when the file has no rows."""
+    with open(path, "rb") as fh:
+        rows = [_parse_row(path, n, line) for n, line in enumerate(fh, start=1)
+                if line.strip()]
     if not rows:
         raise DatasetError(f"{path}: empty dataset")
     return rows
 
 
+def read_train_log(path, last_step: int) -> str:
+    """The rows of a `vmflow train` log up to `last_step`, as written. The
+    cut also stops at a row without a newline, as a crash leaves it; every
+    complete row it reads must be an object with a numeric step."""
+    kept = []
+    with open(path, "rb") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            if not line.endswith(b"\n"):
+                break
+            step = _parse_row(path, line_no, line).get("step")
+            if type(step) not in (int, float):
+                raise DatasetError(f"{path}:{line_no}: bad dataset row (no numeric step)")
+            if not step <= last_step:  # a NaN step ends the cut too
+                break
+            kept.append(line.decode("utf-8"))
+    return "".join(kept)
+
+
+def row_array(row: dict, key: str, path, i: int, dtype=_F32) -> np.ndarray:
+    """Row i's field `key` as an array, or DatasetError naming path and row."""
+    try:
+        return np.asarray(row[key], dtype=dtype)
+    except (KeyError, TypeError, ValueError) as e:
+        raise DatasetError(f"{path}: row {i}: bad dataset row ({e!r})") from None
+
+
 def load_dataset_jsonl(path: str) -> tuple[np.ndarray, np.ndarray, list[dict]]:
-    xs, cs, meta = [], [], []
-    for i, row in enumerate(read_jsonl(path), start=1):
-        try:
-            xs.append(np.asarray(row["x"], dtype=_F32))
-            cs.append(np.asarray(row["c"], dtype=_F32))
-            meta.append(row.get("meta", {}))
-        except (KeyError, TypeError, ValueError) as e:
-            raise DatasetError(f"{path}: row {i}: bad dataset row ({e})")
-    for name, arrs in (("x", xs), ("c", cs)):
+    """A dataset's x, c and meta. In every row, x and c are finite arrays of
+    shape [len >= 1, dim >= 1], and each has the same shape in every row."""
+    rows = read_jsonl(path)
+    stacked = []
+    for name in ("x", "c"):
+        arrs = [row_array(row, name, path, i) for i, row in enumerate(rows, start=1)]
         for i, a in enumerate(arrs, start=1):
+            if a.ndim != 2 or not a.size or not np.isfinite(a).all():
+                raise DatasetError(f"{path}: row {i}: {name} must be a finite "
+                                   f"[len >= 1, dim >= 1] array, got shape {a.shape}")
             if a.shape != arrs[0].shape:
                 raise DatasetError(f"{path}: row {i}: {name} has shape {a.shape}, "
                                    f"row 1 has {arrs[0].shape}")
-    return np.stack(xs), np.stack(cs), meta
+        stacked.append(np.stack(arrs))
+    return stacked[0], stacked[1], [row.get("meta", {}) for row in rows]

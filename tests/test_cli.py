@@ -1,6 +1,7 @@
 """End-to-end CLI runs in a temp directory: artifacts, exit codes, determinism."""
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -173,7 +174,7 @@ def test_train_resume(trained_run):
     cfg_path = trained_run / "config.json"
     out2 = trained_run / "resumed"
     rc = main(["train", "--config", str(cfg_path), "--out", str(out2),
-               "--epochs", "3",
+               "--set", "epochs=3",
                "--resume", str(run / "checkpoints" / "epoch_0002.ckpt")])
     assert rc == 0
     rows = _read_jsonl(out2 / "train.log.jsonl")
@@ -190,7 +191,7 @@ def test_train_resume_updates_parameters(tmp_path):
     ckpt2 = run / "checkpoints" / "epoch_0002.ckpt"
     out = tmp_path / "resumed"
     assert main(["train", "--config", str(cfg_path), "--out", str(out),
-                 "--epochs", "4", "--resume", str(ckpt2)]) == 0
+                 "--set", "epochs=4", "--resume", str(ckpt2)]) == 0
     before = load_checkpoint(ckpt2)
     after = load_checkpoint(out / "checkpoints" / "epoch_0004.ckpt")
     names = [k for k in before if k.startswith("param/")]
@@ -218,7 +219,7 @@ def test_train_resume_appends_log(tmp_path):
     cfg_path = _write_config(tmp_path, data, batch_size=4)  # 4 steps per epoch
     run = tmp_path / "run"
     assert main(["train", "--config", str(cfg_path)]) == 0
-    assert main(["train", "--config", str(cfg_path), "--epochs", "3", "--resume",
+    assert main(["train", "--config", str(cfg_path), "--set", "epochs=3", "--resume",
                  str(run / "checkpoints" / "epoch_0002.ckpt")]) == 0
     rows = _read_jsonl(run / "train.log.jsonl")
     assert [r["step"] for r in rows] == list(range(1, 13))
@@ -243,7 +244,7 @@ def test_resume_cuts_the_log_back_to_the_checkpoint(tmp_path):
 
     with open(run / "train.log.jsonl", "a") as fh:
         fh.write('{"step": 9, "l2": 0.4')
-    assert main(["train", "--config", str(cfg_path), "--epochs", "5", "--resume",
+    assert main(["train", "--config", str(cfg_path), "--set", "epochs=5", "--resume",
                  str(run / "checkpoints" / "epoch_0004.ckpt")]) == 0
     rows = _read_jsonl(run / "train.log.jsonl")
     assert [r["step"] for r in rows] == list(range(1, 11))
@@ -293,7 +294,7 @@ def test_failed_resume_leaves_the_run_unchanged(tmp_path, capsys, override, ckpt
         _bad_checkpoint(run, ckpt)
     before = _files(run)
     rc = main(["train", "--config", str(cfg_path), "--set", override,
-               "--epochs", "3", "--resume", str(run / "checkpoints" / ckpt)])
+               "--set", "epochs=3", "--resume", str(run / "checkpoints" / ckpt)])
     assert rc == code
     assert _stderr_error(capsys)["error"] == error
     assert _files(run) == before
@@ -313,6 +314,26 @@ def test_resume_refuses_epochs_below_the_checkpoint(tmp_path, capsys):
     assert _stderr_error(capsys)["error"] == "ConfigError"
     assert _files(run) == before
     assert main(argv + ["epochs=2"]) == 0
+    assert _files(run) == before
+
+
+@pytest.mark.parametrize("row", [b'{"step": 5, "l2": 0.4}x', b"[1, 2]", b'{"l2": 0.4}',
+                                 b'{"step": "5"}', b'{"step": 5, "l2": 0.4\xff}'])
+def test_resume_refuses_a_malformed_log_row(tmp_path, capsys, row):
+    """A complete log row the cut reads must be an object with a numeric
+    step; otherwise the resume exits 3 before it writes anything."""
+    data = _gen_ring(tmp_path)
+    cfg_path = _write_config(tmp_path, data)
+    run = tmp_path / "run"
+    assert main(["train", "--config", str(cfg_path)]) == 0
+    with open(run / "train.log.jsonl", "ab") as fh:
+        fh.write(row + b"\n")
+    before = _files(run)
+    assert main(["train", "--config", str(cfg_path), "--set", "epochs=3", "--resume",
+                 str(run / "checkpoints" / "epoch_0002.ckpt")]) == 3
+    info = _stderr_error(capsys)
+    assert info["error"] == "DatasetError"
+    assert "train.log.jsonl:5: bad dataset row" in info["message"]
     assert _files(run) == before
 
 
@@ -422,6 +443,89 @@ def test_exit_3_eval_without_condition_ids(tmp_path, capsys):
     assert _stderr_error(capsys)["error"] == "MetricError"
 
 
+@pytest.mark.parametrize("cid", ['"a"', "[1]", "1e999"])
+def test_exit_3_eval_bad_condition_id(tmp_path, capsys, cid):
+    data = _gen_ring(tmp_path)
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text('{"latent": [1.0, 0.0], "condition_id": %s}\n' % cid)
+    out = tmp_path / "m.json"
+    rc = main(["eval", "--samples", str(bad), "--references", str(data), "--out", str(out)])
+    assert rc == 3
+    assert _stderr_error(capsys)["error"] == "MetricError"
+    assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def seq_run(tmp_path_factory):
+    """A one-epoch sequences run (4 tokens at dim 8) and 4 of its samples."""
+    tmp = tmp_path_factory.mktemp("seq")
+    _sequence_samples(tmp, 4)
+    return tmp
+
+
+@pytest.mark.parametrize("meta", [{"vocab": [6]}, {"vocab": None}, {"length": 5}],
+                         ids=["vocab-list", "no-vocab", "length-5"])
+def test_exit_3_sample_bad_sequences_meta(seq_run, capsys, meta):
+    """sample --data refuses a first row whose sequences meta cannot build
+    the codec or decode the rows, and leaves an earlier output whole."""
+    rows = _read_jsonl(seq_run / "seqs.jsonl")
+    rows[0]["meta"].update(meta)  # a None value drops its key
+    rows[0]["meta"] = {k: v for k, v in rows[0]["meta"].items() if v is not None}
+    data = seq_run / "bad-meta.jsonl"
+    data.write_text("".join(json.dumps(r) + "\n" for r in rows))
+    out = seq_run / "samples.jsonl"
+    before = out.read_bytes()
+    rc = main(["sample", "--run", str(seq_run / "run"), "--data", str(data),
+               "--out", str(out)])
+    assert rc == 3
+    assert _stderr_error(capsys)["error"] == "DatasetError"
+    assert out.read_bytes() == before
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--samples", "{s}", "--references", "{s}", "--out", "{d}/a.json",
+     "--curve", "{d}/nodir/b.csv"],
+    ["eval", "--samples", "{s}", "--references", "{s}", "--out", "{d}/nodir/a.json",
+     "--curve", "{d}/b.csv"],
+    ["granger", "--latents", "{s}", "--out", "{d}/a.json", "--csv", "{d}/nodir/b.csv"],
+    ["sample", "--run", "{d}/run", "--out", "{d}/nodir/a.jsonl"],
+], ids=["eval-curve", "eval-out", "granger-csv", "sample-out"])
+def test_exit_4_missing_output_directory_writes_nothing(seq_run, tmp_path, capsys, argv):
+    """A missing output directory exits 4, names the path asked for, and
+    leaves no output of the command, not even the ones it could write."""
+    shutil.copytree(seq_run / "run", tmp_path / "run")
+    before = _files(tmp_path)
+    rc = main([a.format(s=seq_run / "samples.jsonl", d=tmp_path) for a in argv])
+    assert rc == 4
+    info = _stderr_error(capsys)
+    assert info["error"] == "FileNotFoundError"
+    assert str(tmp_path / "nodir") in info["message"] and ".tmp" not in info["message"]
+    assert _files(tmp_path) == before
+
+
+@pytest.mark.parametrize("x,c", [
+    ([[float("inf"), 0.0]], [[0.0, 1.0]]),
+    ([1.0, 2.0], [[0.0, 1.0]]),
+    (1.0, [[0.0, 1.0]]),
+    ([], [[0.0, 1.0]]),
+    ([[1.0, 2.0]], []),
+    ([[[1.0, 2.0]]], [[0.0, 1.0]]),
+], ids=["inf", "flat-row", "scalar-x", "empty-x", "zero-row-c", "3d-x"])
+def test_exit_3_dataset_row_outside_the_rule(trained_run, tmp_path, capsys, x, c):
+    """x and c are finite [len >= 1, dim >= 1] arrays in every row: train
+    leaves no run directory, and sample --data no output file."""
+    data = tmp_path / "bad.jsonl"
+    data.write_text(2 * (json.dumps({"x": x, "c": c}) + "\n"))  # one shape in every row
+    assert main(["train", "--config", str(_write_config(tmp_path, data))]) == 3
+    assert _stderr_error(capsys)["error"] == "DatasetError"
+    assert not (tmp_path / "run").exists()
+    out = tmp_path / "s.jsonl"
+    assert main(["sample", "--run", str(trained_run / "run"), "--data", str(data),
+                 "--out", str(out)]) == 3
+    assert "row 1: " in _stderr_error(capsys)["message"]
+    assert not out.exists()
+
+
 def test_exit_3_eval_ragged_rows(tmp_path, capsys):
     bad = tmp_path / "ragged.jsonl"
     bad.write_text("".join(json.dumps({"latent": v}) + "\n"
@@ -433,7 +537,10 @@ def test_exit_3_eval_ragged_rows(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("override", ["width=abc", 'nfe="x"', "epochs=1.5",
-                                      "checkpoint_every=0", "n_samples=0", "heads=5"])
+                                      "checkpoint_every=0", "n_samples=0", "heads=5",
+                                      "seed=-1", "time_freqs=-1", "phi_hidden=-2",
+                                      "lognorm_std=-1", "lr=NaN", "alpha=NaN",
+                                      "lognorm_mean=NaN"])
 def test_exit_3_bad_config_override(tmp_path, capsys, override):
     data = _gen_ring(tmp_path)
     cfg = _write_config(tmp_path, data)

@@ -105,6 +105,13 @@ def test_malformed_json_is_config_error(tmp_path):
         load_config(str(path))
 
 
+def test_config_that_is_not_utf8_is_config_error(tmp_path):
+    path = tmp_path / "c.json"
+    path.write_bytes(b'{"variant": "VMF\xff"}')
+    with pytest.raises(ConfigError, match="bad JSON"):
+        load_config(str(path))
+
+
 def test_unknown_key_rejected():
     with pytest.raises(ConfigError, match="unknown"):
         config_from_dict({"variant": "VMF", "learning_rate": 1e-3})

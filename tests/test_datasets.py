@@ -195,6 +195,15 @@ def test_jsonl_refuses_non_object_rows(tmp_path, line):
             read(str(path))
 
 
+def test_jsonl_refuses_bytes_that_are_not_utf8(tmp_path):
+    path = tmp_path / "rows.jsonl"
+    path.write_bytes(b'{"x": [[1.0]], "c": [[0.0]]}\n\n{"x": [[1.0]], "c": [[0.0]], '
+                     b'"meta": "\xff"}\n')
+    for read in (read_jsonl, load_dataset_jsonl):
+        with pytest.raises(DatasetError, match="rows.jsonl:3: bad dataset row"):
+            read(str(path))
+
+
 @pytest.mark.parametrize("field,rows,bad", [
     ("x", [[[1.0]], [[1.0]], [[1.0, 2.0]]], 3),
     ("x", [[[1.0]], [[1.0], [2.0]]], 2),

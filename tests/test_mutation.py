@@ -1,8 +1,10 @@
-"""Seeded mutation test: damaged inputs exit with their documented code.
+"""Seeded mutation tests: damaged inputs exit with their documented code.
 
 Each mutant of a small real checkpoint goes through `vmflow sample
---checkpoint` and `vmflow train --resume`. Every run must exit 0 or 3; a
-failed sample leaves no output file, and a failed train no run directory.
+--checkpoint` and `vmflow train --resume`; every run must exit 0 or 3. Each
+mutant of a dataset, a train config, a run's config.json or a samples file
+goes through every command that reads that file; every run must exit 0, 2,
+3 or 4. A failed command leaves no output file and no run directory.
 """
 import collections
 import json
@@ -14,6 +16,10 @@ import pytest
 from vmflow.cli import main
 
 N_MUTANTS = 300
+N_TEXT_MUTANTS = 60
+# what a value swap puts in place of one JSON value, as raw JSON text
+SWAP_TOKENS = ('"x"', "[]", "{}", "null", "true", "1e999", "-1", "[[1]]")
+_SLOT = "@@swapped@@"
 
 
 def _mutate(blob: bytes, rng: np.random.Generator, kind: int) -> bytes:
@@ -29,20 +35,62 @@ def _mutate(blob: bytes, rng: np.random.Generator, kind: int) -> bytes:
     return bytes(out)
 
 
-@pytest.fixture(scope="module")
-def ring_run(tmp_path_factory):
-    """A 2-epoch ring run and its config."""
-    tmp = tmp_path_factory.mktemp("mutation")
-    data = tmp / "ring.jsonl"
-    assert main(["gen-data", "--domain", "ring", "--out", str(data), "--n-modes", "2",
-                 "--samples-per-mode", "8", "--seed", "0"]) == 0
+def _swap_value(text: str, rng: np.random.Generator, jsonl: bool) -> str:
+    """One JSON value of one document (a line of a JSONL file) replaced by
+    one of SWAP_TOKENS. The value is found by a walk from the document's
+    root that picks a random child and stops there with probability 1/2."""
+    docs = text.splitlines(True) if jsonl else [text]
+    i = rng.integers(len(docs))
+    node = root = json.loads(docs[i])
+    while True:
+        keys = list(node) if isinstance(node, dict) else list(range(len(node)))
+        key = keys[rng.integers(len(keys))]
+        if isinstance(node[key], (dict, list)) and node[key] and rng.random() < 0.5:
+            node = node[key]
+            continue
+        node[key] = _SLOT
+        break
+    token = SWAP_TOKENS[rng.integers(len(SWAP_TOKENS))]
+    docs[i] = json.dumps(root).replace(json.dumps(_SLOT), token) + ("\n" if jsonl else "")
+    return "".join(docs)
+
+
+def _mutate_text(blob: bytes, rng: np.random.Generator, kind: int, jsonl: bool) -> bytes:
+    """Truncation, one changed printable byte, one 0xFF byte, or a value swap."""
+    out = bytearray(blob)
+    pos = rng.integers(0, len(out))
+    if kind == 0:
+        return bytes(out[:pos])
+    if kind in (1, 2):
+        out[pos] = rng.integers(0x20, 0x7F) if kind == 1 else 0xFF
+        return bytes(out)
+    return _swap_value(blob.decode(), rng, jsonl).encode()
+
+
+def _trained_run(tmp, domain: str):
+    """A 2-epoch run on a small dataset of `domain`, its train config, and
+    four samples of it."""
+    data = tmp / f"{domain}.jsonl"
+    shape = (["--n-modes", "2", "--samples-per-mode", "8"] if domain == "ring" else
+             ["--n-sequences", "16", "--length", "4", "--dim", "8"])
+    assert main(["gen-data", "--domain", domain, "--out", str(data), "--seed", "0"]
+                + shape) == 0
     cfg = {"variant": "VMF", "width": 8, "heads": 2, "blocks": 1, "latent_dim": 2,
            "time_freqs": 2, "phi_hidden": 4, "epochs": 2, "batch_size": 8,
            "n_samples": 4, "seed": 3, "dataset": str(data), "out_dir": str(tmp / "run")}
     cfg_path = tmp / "config.json"
     cfg_path.write_text(json.dumps(cfg))
     assert main(["train", "--config", str(cfg_path)]) == 0
-    return tmp, cfg_path
+    assert main(["sample", "--run", str(tmp / "run"), "--out",
+                 str(tmp / "samples.jsonl")]) == 0
+    return data, cfg_path
+
+
+@pytest.fixture(scope="module")
+def ring_run(tmp_path_factory):
+    """A 2-epoch ring run and its config."""
+    tmp = tmp_path_factory.mktemp("mutation")
+    return tmp, _trained_run(tmp, "ring")[1]
 
 
 def test_mutated_checkpoints_exit_0_or_3(ring_run, capsys):
@@ -50,7 +98,7 @@ def test_mutated_checkpoints_exit_0_or_3(ring_run, capsys):
     run = tmp / "run"
     blob = (run / "checkpoints" / "final.ckpt").read_bytes()
     rng = np.random.default_rng(12)
-    mutant, out, fresh = tmp / "mutant.ckpt", tmp / "samples.jsonl", tmp / "fresh"
+    mutant, out, fresh = tmp / "mutant.ckpt", tmp / "samples-mutant.jsonl", tmp / "fresh"
     stray = collections.Counter()
     for i in range(N_MUTANTS):
         mutant.write_bytes(_mutate(blob, rng, i % 3))
@@ -70,3 +118,48 @@ def test_mutated_checkpoints_exit_0_or_3(ring_run, capsys):
             elif output.exists():
                 output.unlink()
     assert not stray, dict(stray)
+
+
+@pytest.mark.parametrize("domain", ["ring", "sequences"])
+def test_mutated_text_files_exit_0_2_3_or_4(tmp_path, capsys, domain):
+    """Mutants of the dataset (through train and sample --data), the train
+    config (through train), the run's config.json (through sample) and a
+    samples file (through eval and granger). Every output goes to `out/`,
+    which a failed command must leave empty."""
+    data, cfg_path = _trained_run(tmp_path, domain)
+    run, mrun, out = tmp_path / "run", tmp_path / "mrun", tmp_path / "out"
+    (mrun / "checkpoints").mkdir(parents=True)
+    shutil.copy(run / "checkpoints" / "final.ckpt", mrun / "checkpoints")
+    out.mkdir()
+    o = {name: str(out / name) for name in ("run", "samples.jsonl", "a.json", "b.csv")}
+    mutant = tmp_path / "mutant"
+    files = {  # file -> (is JSONL, the runs that read its mutant)
+        data: (True, [["train", "--config", str(cfg_path), "--set", f"dataset={mutant}",
+                       "--out", o["run"]],
+                      ["sample", "--run", str(run), "--data", str(mutant),
+                       "--out", o["samples.jsonl"]]]),
+        cfg_path: (False, [["train", "--config", str(mutant), "--out", o["run"]]]),
+        run / "config.json": (False, [["sample", "--run", str(mrun),
+                                       "--out", o["samples.jsonl"]]]),
+        tmp_path / "samples.jsonl": (True, [
+            ["eval", "--samples", str(mutant), "--references", str(data),
+             "--out", o["a.json"], "--curve", o["b.csv"]],
+            ["granger", "--latents", str(mutant), "--out", o["a.json"], "--csv", o["b.csv"]]]),
+    }
+    rng = np.random.default_rng(0)
+    stray = collections.Counter()
+    for path, (jsonl, runs) in files.items():
+        blob = path.read_bytes()
+        for i in range(N_TEXT_MUTANTS):
+            mutant.write_bytes(_mutate_text(blob, rng, i % 4, jsonl))
+            shutil.copy(mutant, mrun / "config.json")
+            for argv in runs:
+                rc = main(argv)
+                err = capsys.readouterr().err
+                if rc not in (0, 2, 3, 4):
+                    stray[(path.name, argv[0], rc, json.loads(err)["error"])] += 1
+                elif rc and any(out.iterdir()):
+                    stray[(path.name, argv[0], rc, "left output")] += 1
+                shutil.rmtree(out)
+                out.mkdir()
+    assert not stray, str(dict(stray))
