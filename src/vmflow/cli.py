@@ -1,10 +1,10 @@
 """Command-line entry point wiring config, data, training, sampling,
 evaluation, mask inspection, and causality analysis into reproducible runs.
 
-Every subcommand is deterministic given its seeds; errors surface as a
-one-line JSON object on stderr with a stable exit code: 2 for an unknown
-variant, 3 for config or invariant violations, 4 for missing files, 1
-otherwise.
+Every subcommand is deterministic given its seeds. `train --set/--out` and
+`sample --seed/--nfe/--w/--n/--data` are RunConfig overrides, checked by its
+rules. Errors are one JSON line on stderr with a stable exit code: 2 unknown
+variant, 3 config or invariant violation, 4 missing file, 1 otherwise.
 """
 from __future__ import annotations
 
@@ -28,7 +28,7 @@ from .mask import (GroupSplit, MaskError, build_mask, mask_summary,
                    render_ascii, render_pgm, split_with_decay)
 from .metrics import MetricError, conditional_metrics, cosine_sim, paired_cosine
 from .optim import Adam, NonFiniteGradError
-from .rng import make_rng
+from .rng import SeedError, make_rng
 from .sampling import SampleError, sample_batch
 from .tensor import ShapeError, Tensor, parameter
 from .training import TrainError, dims_for, init_params, train_model
@@ -39,7 +39,8 @@ _SAMPLE_SEED_OFFSET = 100003  # keeps the sampling stream off the training one
 # ---------------------------------------------------------------------------
 # plumbing
 
-def _parse_overrides(pairs: list[str]) -> dict:
+def _overrides(pairs: list[str], **flags) -> dict:
+    """load_config overrides: `--set` pairs, then the flags given (not None)."""
     out = {}
     for item in pairs:
         if "=" not in item:
@@ -49,6 +50,7 @@ def _parse_overrides(pairs: list[str]) -> dict:
             out[key] = json.loads(raw)
         except json.JSONDecodeError:
             out[key] = raw  # bare strings like uniform
+    out.update((k, v) for k, v in flags.items() if v is not None)
     return out
 
 
@@ -86,9 +88,7 @@ def load_params(path) -> tuple[dict[str, Tensor], dict[str, np.ndarray], int]:
 # subcommands
 
 def _cmd_train(args) -> int:
-    cfg = load_config(args.config, _parse_overrides(args.set or []))
-    if args.out:
-        cfg.out_dir = args.out
+    cfg = load_config(args.config, _overrides(args.set or [], out_dir=args.out or None))
     x, c, _ = load_dataset_jsonl(cfg.dataset)
 
     # every input is checked before the run directory is touched
@@ -147,36 +147,29 @@ def _decoder_for(meta: list[dict], path):
 
 def _cmd_sample(args) -> int:
     run = Path(args.run)
-    cfg = load_config(run / "config.json")
-    if args.seed is not None:
-        cfg.seed = args.seed
-    nfe = args.nfe if args.nfe is not None else cfg.nfe
-    w = args.w if args.w is not None else cfg.guidance_w
-    n = args.n if args.n is not None else cfg.n_samples
-    if n < 1:
-        raise SampleError(f"--n must be >= 1, got {n}")
-
-    data_path = args.data or cfg.dataset
-    x, c, meta = load_dataset_jsonl(data_path)
-    decode = _decoder_for(meta, data_path)
+    cfg = load_config(run / "config.json", _overrides(
+        [], seed=args.seed, nfe=args.nfe, guidance_w=args.w, n_samples=args.n,
+        dataset=args.data or None))
+    x, c, meta = load_dataset_jsonl(cfg.dataset)
+    decode = _decoder_for(meta, cfg.dataset)
     ckpt = args.checkpoint or run / "checkpoints" / "final.ckpt"
     params, _, _ = load_params(ckpt)
     dims = dims_for(cfg, cond_dim=c.shape[2], data_dim=x.shape[2])
     _check_layout(ckpt, params, init_params(make_rng(0), dims))
 
-    ids = np.arange(n) % x.shape[0]
+    ids = np.arange(cfg.n_samples) % x.shape[0]
     rng = make_rng(cfg.seed + _SAMPLE_SEED_OFFSET)
-    result = sample_batch(params, dims, c[ids], x.shape[1], rng, nfe=nfe,
-                          guidance_w=w, conditional=not args.unconditional)
+    result = sample_batch(params, dims, c[ids], x.shape[1], rng, nfe=cfg.nfe,
+                          guidance_w=cfg.guidance_w, conditional=not args.unconditional)
 
     rows = [{"id": i, "condition_id": int(ids[i]),
              "latent": [float(v) for v in result.x[i].ravel()],
              "latent_shape": list(result.x.shape[1:]),
              "decoded": decode(result.x[i]),
-             "nfe": nfe, "w": w, "seed": cfg.seed} for i in range(n)]
+             "nfe": cfg.nfe, "w": cfg.guidance_w, "seed": cfg.seed} for i in range(len(ids))]
     out_path = Path(args.out) if args.out else run / "samples.jsonl"
     write_files({out_path: "".join(json.dumps(row) + "\n" for row in rows)})
-    print(f"wrote {n} samples ({result.calls} field evaluations) -> {out_path}")
+    print(f"wrote {cfg.n_samples} samples ({result.calls} field evaluations) -> {out_path}")
     return 0
 
 
@@ -191,10 +184,10 @@ def _cmd_eval(args) -> int:
     refs = _features(read_jsonl(args.references), args.references)
 
     if args.pair == "condition":
-        bad = [i for i, r in enumerate(gen_rows) if type(r.get("condition_id")) is not int]
+        idx = [r.get("condition_id") for r in gen_rows]
+        bad = [i for i, j in enumerate(idx) if type(j) is not int or not 0 <= j < len(refs)]
         if bad:
-            raise MetricError(f"rows {bad[:5]} lack an integer condition_id; use --pair order")
-        idx = [r["condition_id"] % len(refs) for r in gen_rows]
+            raise MetricError(f"rows {bad[:5]}: no condition_id in range({len(refs)}); use --pair order")
     else:
         idx = [i % len(refs) for i in range(len(gen_rows))]
 
@@ -367,7 +360,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 _INVARIANT_ERRORS = (ConfigError, MaskError, TrainError, SampleError,
                      DatasetError, MetricError, GrangerError,
-                     CheckpointError, NonFiniteGradError, ShapeError)
+                     CheckpointError, NonFiniteGradError, ShapeError, SeedError)
 
 
 def _exit_code(exc: BaseException) -> int:

@@ -38,7 +38,7 @@ _FIELD_TYPES = {
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
     variant: str = "VMF"
     # model
@@ -84,15 +84,15 @@ class RunConfig:
         self._fill_defaults()
         self._check()
 
-    def _fill_defaults(self):
+    def _fill_defaults(self):  # the one write to a frozen config, before _check
         if self.alpha == _UNSET:
-            self.alpha = 1e-4 if self.variant in VARIATIONAL else 0.0
+            object.__setattr__(self, "alpha", 1e-4 if self.variant in VARIATIONAL else 0.0)
         if self.beta == _UNSET:
-            self.beta = 0.5 if self.variant in DISPERSIVE else 0.0
+            object.__setattr__(self, "beta", 0.5 if self.variant in DISPERSIVE else 0.0)
         if self.p_equal == _UNSET:
-            self.p_equal = 1.0 if self.variant in EQUAL_TIMES else 0.5
+            object.__setattr__(self, "p_equal", 1.0 if self.variant in EQUAL_TIMES else 0.5)
         if self.disp_block < 0:
-            self.disp_block = self.blocks // 2
+            object.__setattr__(self, "disp_block", self.blocks // 2)
 
     def _check(self):
         v = self.variant
@@ -108,8 +108,9 @@ class RunConfig:
         for field in ("lr", "tau", "lognorm_std"):
             if not 0.0 < getattr(self, field) < math.inf:
                 raise ConfigError(f"{field} must be finite and > 0, got {getattr(self, field)}")
-        if not math.isfinite(self.lognorm_mean):
-            raise ConfigError(f"lognorm_mean must be finite, got {self.lognorm_mean}")
+        for field in ("lognorm_mean", "guidance_w"):
+            if not math.isfinite(getattr(self, field)):
+                raise ConfigError(f"{field} must be finite, got {getattr(self, field)}")
         if not (0.0 <= self.p_equal <= 1.0):
             raise ConfigError(f"p_equal must be in [0,1], got {self.p_equal}")
         if not (0.0 <= self.cond_dropout <= 1.0):
@@ -162,8 +163,7 @@ def load_config(path, overrides: dict | None = None) -> RunConfig:
             raise ConfigError(f"{path}: bad JSON ({e})") from None
     if not isinstance(raw, dict):
         raise ConfigError(f"config root must be an object, got {type(raw).__name__}")
-    if overrides:
-        raw.update({k: v for k, v in overrides.items() if v is not None})
+    raw.update(overrides or {})  # each as given: a None is a value, checked as one
     return config_from_dict(raw)
 
 

@@ -43,8 +43,8 @@ class GmmSpec:
         dim = len(self.means[0])
         if dim < 1 or any(len(m) != dim for m in self.means):
             raise DatasetError("inconsistent mode dimensions")
-        if any(s <= 0 for s in self.scales):
-            raise DatasetError("covariance scale must be positive")
+        if not all(0 < s < np.inf for s in self.scales):
+            raise DatasetError("covariance scale must be positive and finite")
         if len({tuple(m) for m in self.means}) != len(self.means):
             raise DatasetError("mode means must be pairwise distinct")
         if self.samples_per_mode < 1 or self.cond_dim < 1:
@@ -166,8 +166,10 @@ class ToySequenceSpec:
     def __post_init__(self):
         if not 0.0 < self.dominance <= 1.0:
             raise DatasetError("dominance must be in (0, 1]")
-        if self.scale <= 0.0:
-            raise DatasetError("scale must be positive")
+        if not 0.0 < self.scale < np.inf:
+            raise DatasetError("scale must be positive and finite")
+        if self.n_sequences < 1:
+            raise DatasetError("n_sequences must be >= 1")
 
 
 @dataclass
@@ -216,6 +218,8 @@ def save_dataset_jsonl(path: str, x: np.ndarray, c: np.ndarray, meta: list[dict]
     n = x.shape[0]
     if len(meta) != n or c.shape[0] != n:
         raise DatasetError("x, c, meta lengths differ")
+    if not (np.isfinite(x).all() and np.isfinite(c).all()):  # the reader's row rule
+        raise DatasetError(f"{path}: x and c must be finite")
     rows = [{"x": np.asarray(x[i], dtype=float).tolist(),
              "c": np.asarray(c[i], dtype=float).tolist(),
              "meta": meta[i]} for i in range(n)]

@@ -102,6 +102,8 @@ def conditional_metrics(gen_feats, ref_feats, sim_fn=cosine_sim, *,
     flattened; ragged rows or a gen/ref width mismatch raise MetricError.
     Any other sim_fn is called once per pair.
     """
+    if not np.isfinite([sim_thresh, novel_thresh]).all():
+        raise MetricError(f"thresholds must be finite, got {sim_thresh}, {novel_thresh}")
     gen = [np.asarray(g) for g in gen_feats]
     ref = [np.asarray(r) for r in ref_feats]
     n = len(gen)

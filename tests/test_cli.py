@@ -443,8 +443,9 @@ def test_exit_3_eval_without_condition_ids(tmp_path, capsys):
     assert _stderr_error(capsys)["error"] == "MetricError"
 
 
-@pytest.mark.parametrize("cid", ['"a"', "[1]", "1e999"])
+@pytest.mark.parametrize("cid", ['"a"', "[1]", "1e999", "-1", "99"])
 def test_exit_3_eval_bad_condition_id(tmp_path, capsys, cid):
+    """condition_id names one of the 16 references; there is no wrap-around."""
     data = _gen_ring(tmp_path)
     bad = tmp_path / "bad.jsonl"
     bad.write_text('{"latent": [1.0, 0.0], "condition_id": %s}\n' % cid)
@@ -540,7 +541,8 @@ def test_exit_3_eval_ragged_rows(tmp_path, capsys):
                                       "checkpoint_every=0", "n_samples=0", "heads=5",
                                       "seed=-1", "time_freqs=-1", "phi_hidden=-2",
                                       "lognorm_std=-1", "lr=NaN", "alpha=NaN",
-                                      "lognorm_mean=NaN"])
+                                      "lognorm_mean=NaN", "epochs=null",
+                                      "guidance_w=NaN"])
 def test_exit_3_bad_config_override(tmp_path, capsys, override):
     data = _gen_ring(tmp_path)
     cfg = _write_config(tmp_path, data)
@@ -563,7 +565,71 @@ def test_exit_3_sample_count(trained_run, capsys, n):
     rc = main(["sample", "--run", str(trained_run / "run"), "--n", n,
                "--out", str(out)])
     assert rc == 3
-    assert _stderr_error(capsys)["error"] == "SampleError"
+    assert _stderr_error(capsys)["error"] == "ConfigError"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", [["--seed", "-1"], ["--seed", "-200000"], ["--w", "nan"],
+                                  ["--w", "inf"], ["--nfe", "0"]],
+                         ids=["seed-1", "seed-200000", "w-nan", "w-inf", "nfe-0"])
+def test_exit_3_sample_flag_outside_the_config_rules(trained_run, capsys, flag):
+    """sample's flags are config overrides, checked by the rules --set meets."""
+    out = trained_run / "refused.jsonl"
+    assert main(["sample", "--run", str(trained_run / "run"), "--out", str(out)] + flag) == 3
+    assert _stderr_error(capsys)["error"] == "ConfigError"
+    assert not out.exists()
+
+
+def test_sample_flags_at_zero_are_applied(trained_run):
+    """--seed 0 and --w 0 are values, not absent flags: the config says seed 3, w 1.5."""
+    out = trained_run / "zero.jsonl"
+    assert main(["sample", "--run", str(trained_run / "run"), "--n", "2",
+                 "--seed", "0", "--w", "0", "--out", str(out)]) == 0
+    assert [(r["seed"], r["w"]) for r in _read_jsonl(out)] == [(0, 0.0), (0, 0.0)]
+
+
+def test_train_out_wins_over_set_out_dir(tmp_path):
+    cfg = _write_config(tmp_path, _gen_ring(tmp_path), epochs=1)
+    assert main(["train", "--config", str(cfg), "--set", f"out_dir={tmp_path / 'a'}",
+                 "--out", str(tmp_path / "b")]) == 0
+    saved = json.loads((tmp_path / "b" / "config.json").read_text())
+    assert saved["out_dir"] == str(tmp_path / "b") and not (tmp_path / "a").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["mask", "--sample-len", "2", "--cond-len", "1", "--latent-len", "1", "--seed", "-1",
+     "--out", "{d}/m"],
+    ["gen-data", "--domain", "ring", "--seed", "-1", "--out", "{d}/d.jsonl"],
+    ["gen-data", "--domain", "sequences", "--seed", "-1", "--out", "{d}/d.jsonl"],
+], ids=["mask", "ring", "sequences"])
+def test_exit_3_negative_seed(tmp_path, capsys, argv):
+    assert main([a.format(d=tmp_path) for a in argv]) == 3
+    assert _stderr_error(capsys)["error"] == "SeedError"
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("flag", [
+    ["ring", "--radius", "nan"], ["ring", "--scale", "nan"], ["ring", "--scale", "inf"],
+    ["sequences", "--feature-scale", "nan"], ["sequences", "--feature-scale", "inf"],
+    ["sequences", "--n-sequences", "0"], ["sequences", "--n-sequences", "-1"],
+], ids=lambda f: f"{f[0]}{f[1]}={f[2]}")
+def test_exit_3_gen_data_that_its_reader_refuses(tmp_path, capsys, flag):
+    """gen-data writes only datasets that load_dataset_jsonl reads."""
+    out = tmp_path / "d.jsonl"
+    assert main(["gen-data", "--domain", *flag, "--out", str(out)]) == 3
+    assert _stderr_error(capsys)["error"] == "DatasetError"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", [["--sim-thresh", "nan"], ["--novel-thresh", "inf"]],
+                         ids=["sim-nan", "novel-inf"])
+def test_exit_3_eval_non_finite_threshold(trained_run, tmp_path, capsys, flag):
+    out = tmp_path / "m.json"
+    samples = tmp_path / "one.jsonl"
+    samples.write_text(json.dumps({"latent": [1.0, 0.0], "condition_id": 0}) + "\n")
+    assert main(["eval", "--samples", str(samples), "--references",
+                 str(trained_run / "ring.jsonl"), "--out", str(out)] + flag) == 3
+    assert _stderr_error(capsys)["error"] == "MetricError"
     assert not out.exists()
 
 

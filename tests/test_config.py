@@ -53,6 +53,15 @@ def test_constraint_violations():
         RunConfig(variant="RFM", beta=0.2)
 
 
+def test_config_is_frozen():
+    """A checked config never changes; a changed setting is a new RunConfig."""
+    cfg = RunConfig(variant="VMF")
+    for field in dataclasses.fields(RunConfig):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(cfg, field.name, getattr(cfg, field.name))
+    assert dataclasses.replace(cfg, seed=4).seed == 4 and cfg.seed == 0
+
+
 def test_explicit_legal_overrides():
     # alpha = 0 on a variational variant is allowed (it still has the encoder)
     cfg = RunConfig(variant="VMF", alpha=0.0)
@@ -146,9 +155,10 @@ def test_load_overrides(tmp_path):
     cfg = RunConfig(variant="VMF")
     path = tmp_path / "c.json"
     save_config(str(path), cfg)
-    back = load_config(str(path), overrides={"lr": 5e-4, "seed": None, "epochs": 3})
-    assert back.lr == 5e-4 and back.epochs == 3
-    assert back.seed == cfg.seed  # None override is skipped
+    back = load_config(str(path), overrides={"lr": 5e-4, "epochs": 3})
+    assert back.lr == 5e-4 and back.epochs == 3 and back.seed == cfg.seed
+    with pytest.raises(ConfigError, match="seed must be int, got None"):
+        load_config(str(path), overrides={"seed": None})  # applied as given, then checked
 
 
 def test_override_can_break_constraint(tmp_path):
@@ -163,7 +173,8 @@ def test_failed_save_keeps_the_previous_config(tmp_path):
     save_config(path, RunConfig(variant="VMF"))
     before = path.read_bytes()
     cfg = RunConfig(variant="FM")
-    cfg.dataset = object()  # json.dump has written the keys before it when it fails
+    # json.dump has written the keys before it when it fails
+    object.__setattr__(cfg, "dataset", object())
     with pytest.raises(TypeError):
         save_config(path, cfg)
     assert path.read_bytes() == before

@@ -4,7 +4,9 @@ Each mutant of a small real checkpoint goes through `vmflow sample
 --checkpoint` and `vmflow train --resume`; every run must exit 0 or 3. Each
 mutant of a dataset, a train config, a run's config.json or a samples file
 goes through every command that reads that file; every run must exit 0, 2,
-3 or 4. A failed command leaves no output file and no run directory.
+3 or 4. A failed command leaves no output file and no run directory. Seeded
+numeric flag values go through gen-data, mask, eval and sample with the
+same rule, and every JSON file a command that exits 0 writes is strict JSON.
 """
 import collections
 import json
@@ -20,6 +22,10 @@ N_TEXT_MUTANTS = 60
 # what a value swap puts in place of one JSON value, as raw JSON text
 SWAP_TOKENS = ('"x"', "[]", "{}", "null", "true", "1e999", "-1", "[[1]]")
 _SLOT = "@@swapped@@"
+N_ARG_MUTANTS = 150
+# what an argument mutant gives an int flag and a float flag
+INT_VALUES = ("-5", "-1", "0", "1", "2")
+FLOAT_VALUES = ("-1", "0", "nan", "inf", "1e-9", "1.5")
 
 
 def _mutate(blob: bytes, rng: np.random.Generator, kind: int) -> bytes:
@@ -162,4 +168,73 @@ def test_mutated_text_files_exit_0_2_3_or_4(tmp_path, capsys, domain):
                     stray[(path.name, argv[0], rc, "left output")] += 1
                 shutil.rmtree(out)
                 out.mkdir()
+    assert not stray, str(dict(stray))
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def _non_strict_json_files(out) -> list[str]:
+    """The JSON and JSONL files under `out` that hold a NaN or an Infinity."""
+    bad = []
+    for path in sorted(out.iterdir()):
+        if path.suffix in (".json", ".jsonl"):
+            text = path.read_text()
+            docs = text.splitlines() if path.suffix == ".jsonl" else [text]
+            try:
+                for doc in docs:
+                    json.loads(doc, parse_constant=_refuse_constant)
+            except ValueError:
+                bad.append(path.name)
+    return bad
+
+
+def test_mutated_arguments_exit_0_2_3_or_4(ring_run, capsys):
+    """Each mutant sets one or two numeric flags of one command to a value
+    from INT_VALUES or FLOAT_VALUES. Sizes stay at 2 or below, and every
+    output goes to `args-out/`, which a failed command must leave empty."""
+    tmp, _ = ring_run
+    out = tmp / "args-out"
+    out.mkdir()
+    o = str(out)
+    commands = [  # (name, argv, {numeric flag: its type}); argparse keeps a flag's last value
+        ("ring", ["gen-data", "--domain", "ring", "--n-modes", "2", "--samples-per-mode", "2",
+                  "--cond-dim", "2", "--out", f"{o}/d.jsonl"],
+         {"--seed": int, "--cond-dim": int, "--n-modes": int, "--samples-per-mode": int,
+          "--radius": float, "--scale": float}),
+        ("sequences", ["gen-data", "--domain", "sequences", "--vocab", "2", "--length", "2",
+                       "--dim", "2", "--n-sequences", "2", "--out", f"{o}/d.jsonl"],
+         {"--seed": int, "--vocab": int, "--length": int, "--dim": int,
+          "--n-sequences": int, "--dominance": float, "--feature-scale": float}),
+        ("mask", ["mask", "--sample-len", "2", "--cond-len", "1", "--latent-len", "1",
+                  "--out", f"{o}/m"],
+         {"--sample-len": int, "--cond-len": int, "--latent-len": int, "--seed": int,
+          "--decay": float}),
+        ("eval", ["eval", "--samples", str(tmp / "samples.jsonl"), "--references",
+                  str(tmp / "ring.jsonl"), "--out", f"{o}/a.json", "--curve", f"{o}/b.csv"],
+         {"--sim-thresh": float, "--novel-thresh": float}),
+        ("sample", ["sample", "--run", str(tmp / "run"), "--n", "2", "--out", f"{o}/s.jsonl"],
+         {"--nfe": int, "--n": int, "--seed": int, "--w": float}),
+    ]
+    rng = np.random.default_rng(7)
+    stray = collections.Counter()
+    for i in range(N_ARG_MUTANTS):
+        name, argv, flags = commands[i % len(commands)]
+        names = list(flags)
+        extra = []
+        for k in rng.choice(len(names), size=rng.integers(1, 3), replace=False):
+            values = INT_VALUES if flags[names[k]] is int else FLOAT_VALUES
+            extra += [names[k], values[rng.integers(len(values))]]
+        case = " ".join([name] + extra)
+        rc = main(argv + extra)
+        err = capsys.readouterr().err
+        if rc not in (0, 2, 3, 4):
+            stray[(case, rc, json.loads(err.splitlines()[-1])["error"])] += 1
+        elif rc and any(out.iterdir()):
+            stray[(case, rc, "left output")] += 1
+        elif not rc and (bad := _non_strict_json_files(out)):
+            stray[(case, rc, f"NaN or Infinity in {bad}")] += 1
+        shutil.rmtree(out)
+        out.mkdir()
     assert not stray, str(dict(stray))
