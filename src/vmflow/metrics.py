@@ -31,7 +31,7 @@ class MetricReport:
 
 
 def cosine_sim(a: np.ndarray, b: np.ndarray) -> float:
-    """Cosine over nonnegative feature vectors; zero vectors score 0."""
+    """Cosine clipped to [0, 1]: anti-aligned pairs and zero vectors score 0."""
     a = np.asarray(a, dtype=np.float64).ravel()
     b = np.asarray(b, dtype=np.float64).ravel()
     na, nb = np.linalg.norm(a), np.linalg.norm(b)
@@ -95,6 +95,7 @@ def conditional_metrics(gen_feats, ref_feats, sim_fn=cosine_sim, *,
     Similarity: fraction with f >= sim_thresh. Novelty: fraction with
     f < novel_thresh. Diversity: mean pairwise (1 - f) among valid
     samples, 0 when fewer than two are valid. Validity: fraction valid.
+    cosine_sim clips at 0: an anti-aligned pair has similarity 0, distance 1.
 
     With the default cosine_sim, f and the pairwise mean are computed in
     matrix form: the diversity sum runs over blocks of Gram rows, O(n^2 /
@@ -104,26 +105,25 @@ def conditional_metrics(gen_feats, ref_feats, sim_fn=cosine_sim, *,
     """
     if not np.isfinite([sim_thresh, novel_thresh]).all():
         raise MetricError(f"thresholds must be finite, got {sim_thresh}, {novel_thresh}")
-    gen = [np.asarray(g) for g in gen_feats]
-    ref = [np.asarray(r) for r in ref_feats]
-    n = len(gen)
+    n = len(gen_feats)
     if n == 0:
         raise MetricError("empty generation set")
-    if len(ref) != n:
-        raise MetricError(f"paired metrics need equal counts, {n} vs {len(ref)}")
+    if len(ref_feats) != n:
+        raise MetricError(f"paired metrics need equal counts, {n} vs {len(ref_feats)}")
     valid = np.ones(n, dtype=bool) if valid is None else np.asarray(valid, dtype=bool)
     if valid.shape != (n,):
         raise MetricError("valid mask length mismatch")
 
     matrix = sim_fn is cosine_sim
     if matrix:
-        g, r = _feature_rows(gen, "generated"), _feature_rows(ref, "reference")
+        g, r = _feature_rows(gen_feats, "generated"), _feature_rows(ref_feats, "reference")
         if g.shape[1] != r.shape[1]:
             raise MetricError(f"feature widths differ, {g.shape[1]} generated "
                               f"vs {r.shape[1]} reference")
         f = paired_cosine(g, r)
     else:
-        f = np.array([sim_fn(g, r) for g, r in zip(gen, ref)])
+        gen = [np.asarray(x) for x in gen_feats]
+        f = np.array([sim_fn(g, np.asarray(r)) for g, r in zip(gen, ref_feats)])
     similarity = float((f >= sim_thresh).mean() * 100.0)
     novelty = float((f < novel_thresh).mean() * 100.0)
     vidx = np.flatnonzero(valid)
