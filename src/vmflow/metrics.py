@@ -46,13 +46,13 @@ _BLOCK = 256
 
 
 def _cosines(dots: np.ndarray, norm_a: np.ndarray, norm_b: np.ndarray) -> np.ndarray:
-    """cosine_sim's formula on broadcast arrays: a.b / (|a||b|), 0 where
-    either norm is 0, clipped to [0, 1]. A NaN or inf row gives NaN."""
-    prod = norm_a * norm_b
-    zero = (norm_a == 0.0) | (norm_b == 0.0)
+    """cosine_sim's formula on broadcast arrays, written over dots: a.b / (|a||b|),
+    0 where either norm is 0, clipped to [0, 1]. A NaN or inf row gives NaN."""
+    prod, zero = norm_a * norm_b, (norm_a == 0.0) | (norm_b == 0.0)
     with np.errstate(invalid="ignore"):  # inf/inf from a non-finite row: NaN
-        cos = np.divide(dots, prod, out=np.zeros_like(dots), where=~zero)
-    return np.clip(cos, 0.0, 1.0, out=cos)
+        np.divide(dots, prod, out=dots, where=~zero)
+    np.copyto(dots, 0.0, where=zero)
+    return np.clip(dots, 0.0, 1.0, out=dots)
 
 
 def _norms(x: np.ndarray) -> np.ndarray:
