@@ -48,10 +48,14 @@ _BLOCK = 256
 def _cosines(dots: np.ndarray, norm_a: np.ndarray, norm_b: np.ndarray) -> np.ndarray:
     """cosine_sim's formula on broadcast arrays, written over dots: a.b / (|a||b|),
     0 where either norm is 0, clipped to [0, 1]. A NaN or inf row gives NaN."""
-    prod, zero = norm_a * norm_b, (norm_a == 0.0) | (norm_b == 0.0)
+    prod = norm_a * norm_b
+    zeros = [z for z in (norm_a == 0.0, norm_b == 0.0) if z.any()]
+    for z in zeros:  # divide by 1 where a norm is 0, so no warning is raised there
+        np.copyto(prod, 1.0, where=z)
     with np.errstate(invalid="ignore"):  # inf/inf from a non-finite row: NaN
-        np.divide(dots, prod, out=dots, where=~zero)
-    np.copyto(dots, 0.0, where=zero)
+        np.divide(dots, prod, out=dots)
+    for z in zeros:
+        np.copyto(dots, 0.0, where=z)
     return np.clip(dots, 0.0, 1.0, out=dots)
 
 

@@ -133,24 +133,6 @@ def null_condition_tokens(params: dict[str, Tensor], batch: int, cond_len: int) 
     return tile * params["theta/c_null"]
 
 
-def _attention(x: Tensor, blocked: np.ndarray, params, prefix: str,
-               dims: ModelDims) -> Tensor:
-    b, s, w = x.shape
-    hd = w // dims.heads
-
-    def heads(m, axes=(0, 2, 1, 3)):
-        proj = T.matmul(x, params[f"{prefix}/{m}"])
-        return T.transpose(T.reshape(proj, (b, s, dims.heads, hd)), axes)
-
-    q, k_t, v = heads("wq"), heads("wk", (0, 2, 3, 1)), heads("wv")  # k_t: [b, h, hd, s]
-    scores = T.matmul(q, k_t) * _F32(1.0 / np.sqrt(hd))
-    scores = T.masked_fill(scores, blocked[None, None, :, :], -1e9)
-    att = T.softmax(scores, axis=-1)
-    out = T.transpose(T.matmul(att, v), (0, 2, 1, 3))
-    out = T.reshape(out, (b, s, w))
-    return T.linear(out, params[f"{prefix}/wo"], params[f"{prefix}/bo"])
-
-
 def theta_forward(params: dict[str, Tensor], dims: ModelDims, c, h, x_p, z,
                   mask: AttentionMask, t, r, collect_block: int | None = None):
     """Predict u over the z segment; optionally also return mid-layer z reps.
@@ -200,8 +182,9 @@ def theta_forward(params: dict[str, Tensor], dims: ModelDims, c, h, x_p, z,
     reps = None
     for k in range(dims.blocks):
         b = f"theta/blk{k}"
-        x = x + _attention(T.layer_norm(x, params[f"{b}/ln1/g"], params[f"{b}/ln1/b"]),
-                           blocked, params, f"{b}/attn", dims)
+        attn = [params[f"{b}/attn/{m}"] for m in ("wq", "wk", "wv", "wo", "bo")]
+        hdn = T.layer_norm(x, params[f"{b}/ln1/g"], params[f"{b}/ln1/b"])
+        x = x + T.attention(hdn, *attn, blocked, dims.heads)
         hdn = T.layer_norm(x, params[f"{b}/ln2/g"], params[f"{b}/ln2/b"])
         hdn = T.linear(T.gelu(T.linear(hdn, params[f"{b}/mlp/w1"], params[f"{b}/mlp/b1"])),
                        params[f"{b}/mlp/w2"], params[f"{b}/mlp/b2"])

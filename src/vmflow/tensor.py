@@ -8,11 +8,14 @@ u and du/dt without a second pass. Arrays are numpy float32 throughout;
 tensors are treated as immutable once created (the optimizer rebinds
 `.data` between steps, never mid-graph).
 
-`linear`, `layer_norm`, `gelu` and `softmax` are single fused nodes. Each
-runs the numpy float operations of its composite form (built from the
-primitives above it) in the same order, and returns its input gradients
-as the separate contributions the composite's nodes would make, so that
-results are bitwise those of the composite in any graph.
+`linear`, `layer_norm`, `gelu`, `softmax` and `attention` are single fused
+nodes. Each runs the numpy float operations of its composite form (built
+from the primitives above it) in the same order, and returns its input
+gradients as the separate contributions the composite's nodes would make,
+so that results are bitwise those of the composite in any graph. A fused
+op writes in place only over a temporary it allocated itself and that
+nothing reads again; it never writes an input, its output or an array its
+VJP keeps.
 """
 from __future__ import annotations
 
@@ -24,7 +27,7 @@ __all__ = [
     "Tensor", "ShapeError", "parameter", "jvp", "backward", "zero_grad",
     "add", "sub", "mul", "div", "matmul", "transpose", "reshape", "concat",
     "tsum", "tmean", "exp", "log", "sqrt", "tanh", "sin", "cos", "clip",
-    "masked_fill", "detach", "gelu", "softmax", "layer_norm", "linear",
+    "masked_fill", "detach", "gelu", "softmax", "layer_norm", "linear", "attention",
 ]
 
 _F32 = np.float32
@@ -149,31 +152,40 @@ _ONE = _F32(1.0)
 _TWO = _F32(2.0)
 
 
-def _add_tangent(shape, ta, tb):
+def _add_tangent(shape, ta, tb, own: bool = False):
     """The tangent of a + b: zeros of the output shape plus each tangent
-    present. 0 + t is t + 0, so a full-shape first tangent skips the zeros."""
+    present. 0 + t is t + 0, so a full-shape first tangent skips the zeros.
+    With own, ta is the caller's temporary and takes the sum in place."""
     if ta is None and tb is None:
         return None
     if ta is not None and ta.shape == shape:
-        tan = ta + _ZERO
+        tan = np.add(ta, _ZERO, out=ta if own else None)
     else:
         tan = np.zeros(shape, dtype=_F32)
         if ta is not None:
-            tan = tan + ta
+            tan += ta
     if tb is not None:
-        tan = tan + tb
+        tan += tb
     return tan
 
 
-def _product_tangent(f, a: Tensor, b: Tensor):
-    """The product rule for a bilinear f: f(ta, b) + f(a, tb), where an
-    absent tangent drops its term."""
-    ta, tb = a.tangent, b.tangent
-    tan = None if ta is None else f(ta, b.data)
+def _product_tangent(f, a, ta, b, tb):
+    """The product rule for a bilinear f on arrays: f(ta, b) + f(a, tb),
+    where an absent tangent drops its term."""
+    tan = None if ta is None else f(ta, b)
     if tb is not None:
-        part = f(a.data, tb)
-        tan = part if tan is None else tan + part
+        part = f(a, tb)
+        tan = part if tan is None else np.add(tan, part, out=tan)
     return tan
+
+
+def _into(f, a, b, out: np.ndarray) -> np.ndarray:
+    """f(a, b) written over out, a temporary of the caller's that nothing
+    reads again, or a fresh array where the broadcast result outgrows it."""
+    try:
+        return f(a, b, out=out)
+    except ValueError:  # out too small, or a and b do not broadcast
+        return f(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +231,7 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     data = _elementwise("mul", np.multiply, a, b)
-    tan = _product_tangent(np.multiply, a, b)
+    tan = _product_tangent(np.multiply, a.data, a.tangent, b.data, b.tangent)
 
     def vjp(g):
         return (_unbroadcast(g * b.data, a.shape) if a.requires_grad else None,
@@ -260,12 +272,13 @@ def _matmul_data(op: str, a: Tensor, b: Tensor) -> np.ndarray:
         raise ShapeError(op, f"batch dims differ: {a.shape} @ {b.shape}") from None
 
 
-def _matmul_vjp(g, a: Tensor, b: Tensor):
+def _matmul_grads(g, a: np.ndarray, b: np.ndarray, need_a: bool, need_b: bool):
+    """The gradients of a @ b that are needed, each summed to its operand's shape."""
     ga = gb = None
-    if a.requires_grad:
-        ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape, keep_last=2)
-    if b.requires_grad:
-        gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape, keep_last=2)
+    if need_a:
+        ga = _unbroadcast(g @ np.swapaxes(b, -1, -2), a.shape, keep_last=2)
+    if need_b:
+        gb = _unbroadcast(np.swapaxes(a, -1, -2) @ g, b.shape, keep_last=2)
     return ga, gb
 
 
@@ -273,9 +286,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     data = _matmul_data("matmul", a, b)
 
     def vjp(g):
-        return _matmul_vjp(g, a, b)
+        return _matmul_grads(g, a.data, b.data, a.requires_grad, b.requires_grad)
 
-    return _make(data, (a, b), _product_tangent(np.matmul, a, b), vjp)
+    tan = _product_tangent(np.matmul, a.data, a.tangent, b.data, b.tangent)
+    return _make(data, (a, b), tan, vjp)
 
 
 def transpose(a: Tensor, axes: tuple[int, ...]) -> Tensor:
@@ -475,7 +489,9 @@ def detach(a: Tensor) -> Tensor:
 # (tests/composites.py keeps the composites as the oracle). An input the
 # composite reached along several paths is listed once per path, and its
 # gradient comes back as one contribution per path, in the order the
-# composite's nodes would add them.
+# composite's nodes would add them. A temporary the op allocated itself is
+# overwritten in place once nothing reads it again; inputs, and arrays a
+# closure keeps, are never written.
 
 _GELU_CUBIC = _F32(0.044715)
 _GELU_SCALE = _F32(0.7978845608028654)  # sqrt(2 / pi)
@@ -485,13 +501,21 @@ _HALF = _F32(0.5)
 def gelu(x: Tensor) -> Tensor:
     """tanh approximation: x/2 * (1 + tanh(sqrt(2/pi) * (x + 0.044715 x^3)))."""
     xd, tx = x.data, x.tangent
+    diff = _differentiated(x)
     xx = xd * xd
-    inner = xd + (xx * xd) * _GELU_CUBIC
-    th = np.tanh(inner * _GELU_SCALE)
-    p = th + _ONE
-    half = xd * _HALF
-    data = half * p
-    sech2 = _ONE - th * th if _differentiated(x) else None
+    th = xx * xd
+    th *= _GELU_CUBIC
+    np.add(xd, th, out=th)  # the inner sum
+    th *= _GELU_SCALE
+    np.tanh(th, out=th)
+    sech2 = None
+    if diff:
+        sech2 = th * th
+        np.subtract(_ONE, sech2, out=sech2)
+    p = np.add(th, _ONE, out=th)
+    # a call that keeps nothing writes the output over its temporaries
+    half = np.multiply(xd, _HALF, out=None if diff else xx)
+    data = np.multiply(half, p, out=None if diff else p)
     tan = None
     if tx is not None:
         t_cube = (tx * xd + xd * tx) * xd + xx * tx
@@ -509,20 +533,33 @@ def gelu(x: Tensor) -> Tensor:
     return _make(data, (x,) * 5, tan, vjp)
 
 
+def _softmax_parts(x: np.ndarray, axis: int, own: bool):
+    """exp(x - max x) and its sum. The shift is a constant, so masked -1e9
+    scores underflow to exactly 0. With own, x is scratch and becomes the exp."""
+    e = np.subtract(x, np.max(x, axis=axis, keepdims=True), out=x if own else None)
+    np.exp(e, out=e)
+    return e, e.sum(axis=axis, keepdims=True, dtype=_F32)
+
+
+def _softmax_tangent(t_e: np.ndarray, e, s, axis: int) -> np.ndarray:
+    """The tangent of e / sum(e), from t_e, the scores' tangent times e."""
+    t_s = t_e.sum(axis=axis, keepdims=True, dtype=_F32)
+    return t_e / s - e * t_s / (s * s)
+
+
+def _softmax_grad(g: np.ndarray, e, s) -> np.ndarray:
+    """The gradient on the scores of e / sum(e)."""
+    g_s = _unbroadcast(-g * e / (s * s), s.shape)
+    return (g / s + g_s) * e
+
+
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    # the shift is a constant, so masked -1e9 scores underflow to exactly 0
-    e = np.exp(x.data - np.max(x.data, axis=axis, keepdims=True))
-    s = e.sum(axis=axis, keepdims=True, dtype=_F32)
-    data = e / s
-    tan = None
-    if x.tangent is not None:
-        t_e = x.tangent * e
-        t_s = t_e.sum(axis=axis, keepdims=True, dtype=_F32)
-        tan = t_e / s - e * t_s / (s * s)
+    e, s = _softmax_parts(x.data, axis, own=False)
+    data = np.divide(e, s, out=None if _differentiated(x) else e)
+    tan = None if x.tangent is None else _softmax_tangent(x.tangent * e, e, s, axis)
 
     def vjp(g):
-        g_s = _unbroadcast(-g * e / (s * s), s.shape)
-        return ((g / s + g_s) * e,)
+        return (_softmax_grad(g, e, s),)
 
     return _make(data, (x,), tan, vjp)
 
@@ -532,15 +569,17 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     inv_n = _F32(1.0 / xd.shape[-1])
     mean = xd.sum(axis=-1, keepdims=True, dtype=_F32) * inv_n
     d = xd - mean
-    var = (d * d).sum(axis=-1, keepdims=True, dtype=_F32) * inv_n
+    dd = d * d
+    var = dd.sum(axis=-1, keepdims=True, dtype=_F32) * inv_n
     sq = np.sqrt(var + _F32(eps))
-    q = d / sq
+    q = np.divide(d, sq, out=None if _differentiated(x) else d)  # only x's derivatives read d
     try:
-        scaled = q * gain.data
-        data = scaled + bias.data
+        scaled = _into(np.multiply, q, gain.data, dd)
+        data = _into(np.add, scaled, bias.data, scaled)
     except ValueError:
         raise ShapeError("layer_norm", f"gain {gain.shape} and bias {bias.shape} "
                          f"vs input {x.shape}") from None
+    scaled_shape = scaled.shape
     tx = x.tangent
     t_scaled = None
     if tx is not None:
@@ -550,11 +589,11 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         t_scaled = (t_d / sq - d * t_sq / (sq * sq)) * gain.data
     if gain.tangent is not None:
         part = q * gain.tangent
-        t_scaled = part if t_scaled is None else t_scaled + part
-    tan = _add_tangent(data.shape, t_scaled, bias.tangent)
+        t_scaled = part if t_scaled is None else _into(np.add, t_scaled, part, t_scaled)
+    tan = _add_tangent(data.shape, t_scaled, bias.tangent, own=True)
 
     def vjp(g):
-        g_scaled = _unbroadcast(g, scaled.shape)
+        g_scaled = _unbroadcast(g, scaled_shape)
         g_gain = _unbroadcast(g_scaled * q, gain.shape) if gain.requires_grad else None
         g_bias = _unbroadcast(g, bias.shape) if bias.requires_grad else None
         if not x.requires_grad:
@@ -574,17 +613,105 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     if b is None:
         return matmul(x, w)
     out = _matmul_data("linear", x, w)
+    out_shape = out.shape
     try:
-        data = out + b.data
+        data = _into(np.add, out, b.data, out)
     except ValueError:
-        raise ShapeError("linear", f"bias {b.shape} vs output {out.shape}") from None
-    tan = _add_tangent(data.shape, _product_tangent(np.matmul, x, w), b.tangent)
+        raise ShapeError("linear", f"bias {b.shape} vs output {out_shape}") from None
+    t_out = _product_tangent(np.matmul, x.data, x.tangent, w.data, w.tangent)
+    tan = _add_tangent(data.shape, t_out, b.tangent, own=True)
 
     def vjp(g):
-        gx, gw = _matmul_vjp(_unbroadcast(g, out.shape), x, w)
+        gx, gw = _matmul_grads(_unbroadcast(g, out_shape), x.data, w.data,
+                               x.requires_grad, w.requires_grad)
         return gx, gw, (_unbroadcast(g, b.shape) if b.requires_grad else None)
 
     return _make(data, (x, w, b), tan, vjp)
+
+
+_Q_AXES, _K_AXES, _K_INV = (0, 2, 1, 3), (0, 2, 3, 1), (0, 3, 1, 2)
+
+
+def attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor, bo: Tensor,
+              blocked, heads: int) -> Tensor:
+    """Masked multi-head self-attention over x [batch, seq, width]: per head,
+    softmax(q k^T / sqrt(hd)) v, with the scores where `blocked` [seq, seq]
+    is true set to -1e9; the heads are merged and projected by wo, bo.
+
+    One node for the composite's 17 (three projections, their head splits,
+    scores, scale, mask fill, softmax, weighted sum, merge, output linear).
+    x reaches the composite along the q, k and v paths, and its gradient
+    comes back in that order."""
+    if x.ndim != 3 or heads < 1 or x.shape[2] % heads:
+        raise ShapeError("attention", f"x {x.shape} is not [batch, seq, width] "
+                         f"with the width divisible by {heads} heads")
+    w = x.shape[2]
+    for m in (wq, wk, wv, wo):
+        if m.shape != (w, w):
+            raise ShapeError("attention", f"projection {m.shape} vs width {w}")
+    split = (*x.shape[:2], heads, w // heads)
+    scale = _F32(1.0 / np.sqrt(w // heads))
+    mask = np.asarray(blocked, dtype=bool)
+
+    def split_heads(a, axes=_Q_AXES):
+        return None if a is None else a.reshape(split).transpose(axes)
+
+    xd = x.data
+    q, k_t, v = (split_heads(xd @ m.data, axes)
+                 for m, axes in ((wq, _Q_AXES), (wk, _K_AXES), (wv, _Q_AXES)))
+    rq, rk, rv = (x.requires_grad or m.requires_grad for m in (wq, wk, wv))
+    tq, tk, tv = (_product_tangent(np.matmul, xd, x.tangent, m.data, m.tangent)
+                  for m in (wq, wk, wv))
+    scores = q @ k_t
+    scores *= scale
+    try:
+        np.copyto(scores, _F32(-1e9), where=mask)
+    except ValueError:
+        raise ShapeError("attention", f"mask {mask.shape} vs scores {scores.shape}") from None
+    e, s = _softmax_parts(scores, -1, own=True)
+    keep_e = rq or rk or tq is not None or tk is not None
+    att = np.divide(e, s, out=None if keep_e else e)
+    o = (att @ v).transpose(_Q_AXES).reshape(x.shape)
+    out = o @ wo.data
+    out_shape = out.shape
+    try:
+        data = _into(np.add, out, bo.data, out)
+    except ValueError:
+        raise ShapeError("attention", f"bias {bo.shape} vs output {out_shape}") from None
+
+    t_scores = _product_tangent(np.matmul, q, split_heads(tq), k_t, split_heads(tk, _K_AXES))
+    t_att = None
+    if t_scores is not None:
+        t_scores *= scale
+        np.copyto(t_scores, _ZERO, where=mask)
+        t_att = _softmax_tangent(np.multiply(t_scores, e, out=t_scores), e, s, -1)
+    t_o = _product_tangent(np.matmul, att, t_att, v, split_heads(tv))
+    if t_o is not None:
+        t_o = t_o.transpose(_Q_AXES).reshape(x.shape)
+    t_out = _product_tangent(np.matmul, o, t_o, wo.data, wo.tangent)
+    tan = _add_tangent(data.shape, t_out, bo.tangent, own=True)
+
+    def _vjp(g):
+        g_o, g_wo = _matmul_grads(_unbroadcast(g, out_shape), o, wo.data,
+                                  rq or rk or rv, wo.requires_grad)
+        g_bo = _unbroadcast(g, bo.shape) if bo.requires_grad else None
+        g_q = g_k = g_v = None
+        if g_o is not None:
+            g_att, g_v = _matmul_grads(split_heads(g_o), att, v, rq or rk, rv)
+            if g_att is not None:
+                g_scores = _softmax_grad(g_att, e, s)
+                np.copyto(g_scores, _ZERO, where=mask)
+                g_scores *= scale
+                g_q, g_k = _matmul_grads(g_scores, q, k_t, rq, rk)
+        g_x, g_w = [None] * 3, [None] * 3
+        for i, (gh, inv, m) in enumerate(((g_q, _Q_AXES, wq), (g_k, _K_INV, wk),
+                                          (g_v, _Q_AXES, wv))):
+            if gh is not None:
+                g_x[i], g_w[i] = _matmul_grads(gh.transpose(inv).reshape(xd.shape), xd,
+                                               m.data, x.requires_grad, m.requires_grad)
+        return (*g_x, *g_w, g_wo, g_bo)
+
+    return _make(data, (x, x, x, wq, wk, wv, wo, bo), tan, _vjp)
 
 
 # ---------------------------------------------------------------------------

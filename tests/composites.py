@@ -1,9 +1,9 @@
 """The network layers as compositions of tensor primitives.
 
-These are the forms `linear`, `layer_norm`, `gelu` and `softmax` took before
-each became one fused node in vmflow.tensor. They stay here as the oracle:
-the fused nodes must reproduce their primal values, tangents and gradients
-bit for bit, in any graph (tests/test_fused.py).
+These are the forms `linear`, `layer_norm`, `gelu`, `softmax` and
+`attention` took before each became one fused node in vmflow.tensor. They
+stay here as the oracle: the fused nodes must reproduce their primal values,
+tangents and gradients bit for bit, in any graph (tests/test_fused.py).
 """
 import numpy as np
 
@@ -36,7 +36,24 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     return out if b is None else T.add(out, b)
 
 
-FUSED = ("gelu", "softmax", "layer_norm", "linear")
+def attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor, bo: Tensor,
+              blocked: np.ndarray, heads: int) -> Tensor:
+    b, s, w = x.shape
+    hd = w // heads
+
+    def split(m, axes=(0, 2, 1, 3)):
+        proj = T.matmul(x, m)
+        return T.transpose(T.reshape(proj, (b, s, heads, hd)), axes)
+
+    q, k_t, v = split(wq), split(wk, (0, 2, 3, 1)), split(wv)  # k_t: [b, h, hd, s]
+    scores = T.matmul(q, k_t) * np.float32(1.0 / np.sqrt(hd))
+    scores = T.masked_fill(scores, blocked[None, None, :, :], -1e9)
+    att = softmax(scores, axis=-1)
+    out = T.transpose(T.matmul(att, v), (0, 2, 1, 3))
+    return linear(T.reshape(out, (b, s, w)), wo, bo)
+
+
+FUSED = ("gelu", "softmax", "layer_norm", "linear", "attention")
 
 
 def patch_composites(monkeypatch):

@@ -37,10 +37,17 @@ def same(a, b) -> bool:
 B, S, W, H = 3, 7, 12, 2
 
 
+BLOCKED = np.triu(np.ones((S, S), dtype=bool), k=1)  # a causal mask
+BLOCKED_ROW = BLOCKED.copy()
+BLOCKED_ROW[2] = True  # a query that may attend to nothing: its row is uniform
+
+
 def _blocked_scores(rng):
-    """[B, heads, S, S] scores carrying the -1e9 fills of a causal mask."""
-    blocked = np.triu(np.ones((S, S), dtype=bool), k=1)
-    return np.where(blocked, F32(-1e9), normal_f32(rng, (B, H, S, S)))
+    """[B, heads, S, S] scores carrying the -1e9 fills of the causal mask."""
+    return np.where(BLOCKED, F32(-1e9), normal_f32(rng, (B, H, S, S)))
+
+
+ATTENTION_SHAPES = [(B, S, W), (W, W), (W, W), (W, W), (W, W), (W,)]
 
 
 def _op_cases():
@@ -51,8 +58,23 @@ def _op_cases():
         ("linear_2d", lambda L, x, w, b: L.linear(x, w, b), [(B, W), (W, W), (W,)]),
         ("linear_no_bias", lambda L, x, w: L.linear(x, w), [(B, S, W), (W, W)]),
         ("layer_norm", lambda L, x, g, b: L.layer_norm(x, g, b), [(B, S, W), (W,), (W,)]),
+        # a gain or a bias whose broadcast enlarges the output
+        ("layer_norm_gain_enlarges", lambda L, x, g, b: L.layer_norm(x, g, b),
+         [(S, W), (B, S, W), (W,)]),
+        ("layer_norm_bias_enlarges", lambda L, x, g, b: L.layer_norm(x, g, b),
+         [(S, W), (W,), (B, 1, W)]),
+        ("linear_bias_enlarges", lambda L, x, w, b: L.linear(x, w, b),
+         [(S, W), (W, W), (B, 1, W)]),
         ("gelu", lambda L, x: L.gelu(x), [(B, S, 4 * W)]),
         ("softmax", lambda L, x: L.softmax(x, axis=-1), [_blocked_scores]),
+        ("attention", lambda L, *ins: L.attention(*ins, BLOCKED, H), ATTENTION_SHAPES),
+        ("attention_blocked_row", lambda L, *ins: L.attention(*ins, BLOCKED_ROW, H),
+         ATTENTION_SHAPES),
+        ("attention_bias_enlarges", lambda L, *ins: L.attention(*ins, BLOCKED, H),
+         ATTENTION_SHAPES[:-1] + [(2, 1, 1, W)]),
+        # x also feeds the residual add, after its q, k and v paths
+        ("attention_residual", lambda L, x, *ws: T.add(x, L.attention(x, *ws, BLOCKED, H)),
+         ATTENTION_SHAPES),
         # the residual stream: x feeds the layer norm and the add after it
         ("layer_norm_residual",
          lambda L, x, g, b, w: T.add(x, L.linear(L.layer_norm(x, g, b), w, b)),
@@ -98,22 +120,74 @@ def test_fused_op_matches_composite_bitwise(name, f, specs):
         assert same(gf, go), f"{name}: gradient of input {i}"
 
 
-@pytest.mark.parametrize("which", ["x", "params"])
+@pytest.mark.parametrize("name,f,specs", _op_cases(),
+                         ids=lambda c: c if isinstance(c, str) else "")
+def test_fused_op_tangent_alone_matches_composite(name, f, specs):
+    """Tangents with no gradient to record take the same branches."""
+    rng = make_rng(4243)
+    leaves = _leaves(rng, specs)
+
+    def run(layers):
+        out = f(layers, *[Tensor(d, tangent=t) for d, t in leaves])
+        return out.data, out.tangent
+
+    fused, oracle = run(T), run(composites)
+    assert same(fused[0], oracle[0]), f"{name}: primal"
+    assert same(fused[1], oracle[1]), f"{name}: tangent"
+
+
+@pytest.mark.parametrize("differentiated", [True, False])
+@pytest.mark.parametrize("name,f,specs", _op_cases(),
+                         ids=lambda c: c if isinstance(c, str) else "")
+def test_fused_op_writes_only_its_own_temporaries(name, f, specs, differentiated):
+    """The in-place writes land only on the op's own temporaries: after the
+    forward, the tangent and the backward, every input and the output keep
+    their bytes, and the output shares no memory with any input."""
+    rng = make_rng(31)
+    leaves = _leaves(rng, specs)
+    if differentiated:
+        ins = [Tensor(d.copy(), tangent=t.copy(), requires_grad=True) for d, t in leaves]
+    else:
+        ins = [Tensor(d.copy()) for d, _ in leaves]
+    out = f(T, *ins)
+    outputs = [a for a in (out.data, out.tangent) if a is not None]
+    kept = [a.copy() for a in outputs]
+    if differentiated:
+        T.backward(T.tsum(out * Tensor(normal_f32(rng, out.shape))))
+    for (d, t), p in zip(leaves, ins):
+        assert same(p.data, d), f"{name}: input data"
+        assert p.tangent is None or same(p.tangent, t), f"{name}: input tangent"
+    for a, k in zip(outputs, kept):
+        assert same(a, k), f"{name}: output"
+        for p in ins:
+            for arr in (p.data, p.tangent, p.grad):
+                assert arr is None or not np.shares_memory(a, arr), f"{name}: aliasing"
+
+
+@pytest.mark.parametrize("which", ["x", "params", "wq", "wk", "wv", "wo", "bo"])
 def test_fused_op_partial_tangents_and_grads(which):
-    """Tangents and gradients on only some inputs take the same branches."""
+    """Tangents and gradients on only some inputs take the same branches:
+    x alone, the layer norm's gain with the linear's weight and bias, or one
+    attention weight or bias."""
     rng = make_rng(99)
     x, g, b, w = (normal_f32(rng, s) for s in ((B, S, W), (W,), (W,), (W, W)))
+    attn = [normal_f32(rng, s) for s in ATTENTION_SHAPES[1:]]
     tx, tg = normal_f32(rng, x.shape), normal_f32(rng, g.shape)
+    t_attn = [normal_f32(rng, a.shape) for a in attn]
     cot = normal_f32(rng, (B, S, W))
 
     def run(layers):
+        ins = [Tensor(x), Tensor(g), Tensor(b), Tensor(w)] + [Tensor(a) for a in attn]
         if which == "x":
-            ins = [Tensor(x, tangent=tx, requires_grad=True), Tensor(g), Tensor(b),
-                   Tensor(w)]
+            ins[0] = Tensor(x, tangent=tx, requires_grad=True)
+        elif which == "params":
+            ins[1:4] = [Tensor(g, tangent=tg, requires_grad=True), T.parameter(b),
+                        T.parameter(w)]
         else:
-            ins = [Tensor(x), Tensor(g, tangent=tg, requires_grad=True),
-                   T.parameter(b), T.parameter(w)]
+            i = ("wq", "wk", "wv", "wo", "bo").index(which)
+            ins[4 + i] = Tensor(attn[i], tangent=t_attn[i], requires_grad=True)
         out = layers.linear(layers.gelu(layers.layer_norm(*ins[:3])), ins[3], ins[2])
+        out = layers.attention(out, *ins[4:], BLOCKED, H)
         T.backward(T.tsum(out * Tensor(cot)))
         return out.data, out.tangent, [p.grad for p in ins]
 
@@ -152,6 +226,7 @@ def _ufunc_log(name, args, requires_grad=False):
            "softmax": lambda: T.softmax(ins[0], axis=-1),
            "layer_norm": lambda: T.layer_norm(*ins),
            "linear": lambda: T.linear(*ins),
+           "attention": lambda: T.attention(*ins, BLOCKED, H),
            "tanh": lambda: T.tanh(ins[0])}[name]()
     return out, Counter(_Logged.log)
 
@@ -159,7 +234,7 @@ def _ufunc_log(name, args, requires_grad=False):
 @pytest.mark.parametrize("name,shapes", [
     ("gelu", [(B, S, W)]), ("softmax", [(B, H, S, S)]),
     ("layer_norm", [(B, S, W), (W,), (W,)]), ("linear", [(B, S, W), (W, W), (W,)]),
-    ("tanh", [(B, W)])])
+    ("tanh", [(B, W)]), ("attention", ATTENTION_SHAPES)])
 def test_forward_only_call_computes_only_the_primal(name, shapes):
     rng = make_rng(7)
     args = [normal_f32(rng, s) for s in shapes]
@@ -171,6 +246,10 @@ def test_forward_only_call_computes_only_the_primal(name, shapes):
                              "add.reduce", "multiply", "add", "sqrt", "divide",
                              "multiply", "add"],
               "linear": ["matmul", "add"],
+              # q, k, v, the scores, the weighted sum and wo; the scale; the
+              # softmax; the bias (the mask fill is no ufunc)
+              "attention": ["matmul"] * 6 + ["multiply", "maximum.reduce", "subtract",
+                                             "exp", "add.reduce", "divide", "add"],
               "tanh": ["tanh"]}[name]
     assert plain == Counter(primal)
     if name in ("gelu", "tanh"):
@@ -231,7 +310,7 @@ def test_training_and_sampling_bitwise_equal_to_composites(variant, domain, monk
 # ---------------------------------------------------------------------------
 # the size of the training graph
 
-MAX_NODES_PER_STEP = 110
+MAX_NODES_PER_STEP = 70
 
 # the model and training fields of the frozen configs of criteria 7 and 8
 # (tests/test_acceptance.py)

@@ -281,7 +281,8 @@ def test_field_reads_current_parameter_values():
     assert not np.array_equal(field(c, eps, r, t), before)
 
 
-@pytest.mark.parametrize("latent_tokens,executed", [(1, 71), (0, 69)])
+@pytest.mark.parametrize("latent_tokens,executed", [(1, 39), (0, 37)],
+                         ids=["latent_tokens=1", "latent_tokens=0"])
 def test_field_call_op_count(monkeypatch, latent_tokens, executed):
     """Ops one call executes at the c08 dims (VMF, MF): the field hands the
     transformer [B, 1] time columns, so no op reshapes them."""

@@ -97,6 +97,8 @@ _RECORDED_OPS = {
     "layer_norm": lambda p: T.layer_norm(p, _ones(4), _ones(4)),
     "linear": lambda p: T.linear(p, _ones(4, 3), _ones(3)),
     "getitem": lambda p: p[0, 1:],
+    "attention": lambda p: T.attention(T.reshape(p, (1, 2, 4)), *[_ones(4, 4)] * 4, _ones(4),
+                                       np.triu(np.ones((2, 2), dtype=bool), k=1), 2),
 }
 _RECORDS_AS = {"tmean": "mul"}
 _RECORD_NOTHING = {"Tensor", "ShapeError", "parameter", "jvp", "backward", "zero_grad", "detach"}
@@ -118,6 +120,9 @@ def test_vjp_closures_are_named_after_their_op():
 # Each entry: (name, closure returning a scalar Tensor, list of input arrays).
 # Inputs are kept away from non-smooth points (clip rails, |x| for div).
 
+CAUSAL3 = np.triu(np.ones((3, 3), dtype=bool), k=1)
+
+
 def _scalar_cases():
     # weight constants are drawn once; the closures must be pure functions
     a34, b34 = randn(3, 4), randn(3, 4)
@@ -133,6 +138,7 @@ def _scalar_cases():
     w34d = Tensor(randn(3, 4))
     w38 = Tensor(randn(3, 8))
     w235 = Tensor(randn(2, 3, 5))
+    w234 = Tensor(randn(2, 3, 4))
     return [
         ("add", lambda a, b: T.tsum(T.add(a, b) * w34), [a34, b34]),
         ("sub_bcast", lambda a, b: T.tsum(T.sub(a, b) * w34b),
@@ -173,6 +179,8 @@ def _scalar_cases():
          [randn(2, 3, 4), randn(4, 5), randn(5)]),
         ("mean_tuple_axis", lambda a: T.tsum(T.tmean(a * a, axis=(1, 2))
                                              * Tensor([1.0, -2.0])), [randn(2, 3, 4)]),
+        ("attention", lambda x, *ws: T.tsum(T.attention(x, *ws, CAUSAL3, 2) * w234),
+         [randn(2, 3, 4), *(randn(4, 4) for _ in range(4)), randn(4)]),
     ]
 
 
@@ -203,6 +211,8 @@ def _vector_cases():
          [randn(3, 6), randn(6, shift=1.0), randn(6)]),
         ("mixed", lambda a, b: T.exp(T.tmean(a * b, axis=1)) + T.log(T.tsum(a * a, axis=1) + 3.0),
          [randn(4, 5), randn(4, 5)]),
+        ("attention", lambda x, *ws: T.attention(x, *ws, CAUSAL3, 2),
+         [randn(2, 3, 4), *(randn(4, 4) for _ in range(4)), randn(4)]),
     ]
 
 

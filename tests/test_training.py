@@ -608,7 +608,7 @@ GRAPH_DIMS = {"c07": (dict(width=12, latent_dim=4), 2, 2, 4),
 
 @pytest.mark.parametrize("at", sorted(GRAPH_DIMS))
 @pytest.mark.parametrize("variant,nodes,executed", [
-    ("VMF", 100, 115), ("MF", 73, 83), ("VMFD", 119, 133)])
+    ("VMF", 68, 83), ("MF", 41, 51), ("VMFD", 87, 101)], ids=["VMF", "MF", "VMFD"])
 def test_step_graph_size(monkeypatch, at, variant, nodes, executed):
     kw, L, D, Dc = GRAPH_DIMS[at]
     cfg = RunConfig(variant=variant, heads=2, blocks=2, time_freqs=8,
@@ -628,9 +628,10 @@ def test_step_graph_size(monkeypatch, at, variant, nodes, executed):
     ops = _graph_nodes(total)
     assert sum(ops.values()) == nodes, ops
     assert len(made) == executed
-    # the views left: per block, the q, k and v head splits and the merge
-    # (k's transposed once); the time embedding's and the latent token's
-    # [B, 1, width] views; the dispersive loss's own
+    # the views left (attention's head splits are inside its node): the time
+    # embedding's and the latent token's [B, 1, width] views; the dispersive
+    # loss's own
     disp = cfg.beta > 0
-    assert ops["reshape"] == 4 * dims.blocks + 1 + dims.latent_tokens + 2 * disp
-    assert ops["transpose"] == 4 * dims.blocks + disp
+    assert ops["attention"] == dims.blocks
+    assert ops["reshape"] == 1 + dims.latent_tokens + 2 * disp
+    assert ops.get("transpose", 0) == disp
