@@ -4,7 +4,8 @@ evaluation, mask inspection, and causality analysis into reproducible runs.
 Every subcommand is deterministic given its seeds. `train --set/--out` and
 `sample --seed/--nfe/--w/--n/--data` are RunConfig overrides, checked by its
 rules. Errors are one JSON line on stderr with a stable exit code: 2 unknown
-variant, 3 config or invariant violation, 4 missing file, 1 otherwise.
+variant, 3 any other error class vmflow defines (a config or invariant
+violation), 4 missing file, 1 otherwise.
 """
 from __future__ import annotations
 
@@ -27,11 +28,11 @@ from .granger import GrangerError, P_BIN_LABELS, latent_causality_report
 from .mask import (GroupSplit, MaskError, build_mask, mask_summary,
                    render_ascii, render_pgm, split_with_decay)
 from .metrics import MetricError, conditional_metrics, cosine_sim, paired_cosine
-from .optim import Adam, NonFiniteGradError
-from .rng import SeedError, make_rng
-from .sampling import SampleError, sample_batch
-from .tensor import ShapeError, Tensor, parameter
-from .training import TrainError, dims_for, init_params, train_model
+from .optim import Adam
+from .rng import make_rng
+from .sampling import sample_batch
+from .tensor import Tensor, parameter
+from .training import dims_for, init_params, train_model
 
 _SAMPLE_SEED_OFFSET = 100003  # keeps the sampling stream off the training one
 
@@ -159,14 +160,17 @@ def _cmd_sample(args) -> int:
 
     ids = np.arange(cfg.n_samples) % x.shape[0]
     rng = make_rng(cfg.seed + _SAMPLE_SEED_OFFSET)
+    conditional = not args.unconditional
     result = sample_batch(params, dims, c[ids], x.shape[1], rng, nfe=cfg.nfe,
-                          guidance_w=cfg.guidance_w, conditional=not args.unconditional)
+                          guidance_w=cfg.guidance_w, conditional=conditional)
 
-    rows = [{"id": i, "condition_id": int(ids[i]),
+    # an unconditional row ran on the null condition alone, without guidance
+    rows = [{"id": i, "condition_id": int(ids[i]) if conditional else None,
              "latent": [float(v) for v in result.x[i].ravel()],
              "latent_shape": list(result.x.shape[1:]),
-             "decoded": decode(result.x[i]),
-             "nfe": cfg.nfe, "w": cfg.guidance_w, "seed": cfg.seed} for i in range(len(ids))]
+             "decoded": decode(result.x[i]), "nfe": cfg.nfe,
+             "w": cfg.guidance_w if conditional else None, "seed": cfg.seed}
+            for i in range(len(ids))]
     out_path = Path(args.out) if args.out else run / "samples.jsonl"
     write_files({out_path: "".join(json.dumps(row) + "\n" for row in rows)})
     print(f"wrote {cfg.n_samples} samples ({result.calls} field evaluations) -> {out_path}")
@@ -358,15 +362,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-_INVARIANT_ERRORS = (ConfigError, MaskError, TrainError, SampleError,
-                     DatasetError, MetricError, GrangerError,
-                     CheckpointError, NonFiniteGradError, ShapeError, SeedError)
-
-
 def _exit_code(exc: BaseException) -> int:
     if isinstance(exc, VariantError):
         return 2
-    if isinstance(exc, _INVARIANT_ERRORS):
+    if type(exc).__module__.split(".")[0] == __package__:  # an error class vmflow defines
         return 3
     if isinstance(exc, (FileNotFoundError, IsADirectoryError, NotADirectoryError)):
         return 4

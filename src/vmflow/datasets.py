@@ -27,49 +27,36 @@ class DatasetError(ValueError):
 # Gaussian mixtures
 
 @dataclass(frozen=True)
-class GmmSpec:
-    means: tuple          # mode centers, each a dim-length tuple
-    scales: tuple         # per-mode isotropic std
-    labels: tuple         # per-mode integer condition label
-    samples_per_mode: int
-    seed: int
+class RingSpec:
+    """Isotropic Gaussian modes evenly spaced on a 2D circle; one shared
+    condition label by default, else one label per mode."""
+    n_modes: int = 8
+    radius: float = 5.0
+    scale: float = 0.1        # per-mode std
+    samples_per_mode: int = 500
+    seed: int = 0
+    shared_label: bool = True
     cond_dim: int = 4
 
     def __post_init__(self):
-        if not self.means:
+        means = self.means
+        if not means:
             raise DatasetError("need at least one mode")
-        if not (len(self.means) == len(self.scales) == len(self.labels)):
-            raise DatasetError("means, scales, labels must align")
-        dim = len(self.means[0])
-        if dim < 1 or any(len(m) != dim for m in self.means):
-            raise DatasetError("inconsistent mode dimensions")
-        if not all(0 < s < np.inf for s in self.scales):
+        if not 0 < self.scale < np.inf:
             raise DatasetError("covariance scale must be positive and finite")
-        if len({tuple(m) for m in self.means}) != len(self.means):
+        if len(set(means)) != len(means):
             raise DatasetError("mode means must be pairwise distinct")
         if self.samples_per_mode < 1 or self.cond_dim < 1:
             raise DatasetError("samples_per_mode and cond_dim must be positive")
 
     @property
-    def dim(self) -> int:
-        return len(self.means[0])
-
-    @property
-    def n_labels(self) -> int:
-        return max(self.labels) + 1
+    def means(self) -> tuple[tuple[float, float], ...]:
+        angles = 2.0 * np.pi * np.arange(self.n_modes) / self.n_modes
+        return tuple((float(self.radius * np.cos(a)), float(self.radius * np.sin(a)))
+                     for a in angles)
 
 
-def ring_spec(n_modes: int = 8, radius: float = 5.0, scale: float = 0.1,
-              samples_per_mode: int = 500, seed: int = 0,
-              shared_label: bool = True, cond_dim: int = 4) -> GmmSpec:
-    """Modes evenly spaced on a 2D circle; one shared condition by default."""
-    angles = 2.0 * np.pi * np.arange(n_modes) / n_modes
-    means = tuple((float(radius * np.cos(a)), float(radius * np.sin(a)))
-                  for a in angles)
-    labels = tuple(0 for _ in range(n_modes)) if shared_label else tuple(range(n_modes))
-    return GmmSpec(means=means, scales=tuple(scale for _ in range(n_modes)),
-                   labels=labels, samples_per_mode=samples_per_mode, seed=seed,
-                   cond_dim=cond_dim)
+ring_spec = RingSpec  # the name the CLI and the benchmark call
 
 
 @dataclass
@@ -89,19 +76,19 @@ def label_conditions(proj: np.ndarray, labels) -> np.ndarray:
     return proj[labels][:, None, :].astype(_F32)
 
 
-def make_gmm_dataset(spec: GmmSpec) -> GmmData:
+def make_gmm_dataset(spec: RingSpec) -> GmmData:
     rng = make_rng(spec.seed)
     # projection first so conditions are fixed under resampling tweaks
-    proj = normal_f32(rng, (spec.n_labels, spec.cond_dim))
+    proj = normal_f32(rng, (1 if spec.shared_label else spec.n_modes, spec.cond_dim))
     xs, modes = [], []
-    for k, (mean, scale) in enumerate(zip(spec.means, spec.scales)):
+    for k, mean in enumerate(spec.means):
         pts = (np.asarray(mean, dtype=_F32)
-               + _F32(scale) * normal_f32(rng, (spec.samples_per_mode, spec.dim)))
+               + _F32(spec.scale) * normal_f32(rng, (spec.samples_per_mode, len(mean))))
         xs.append(pts.astype(_F32))
         modes.append(np.full(spec.samples_per_mode, k, dtype=int))
     x = np.concatenate(xs)[:, None, :]
     mode_ids = np.concatenate(modes)
-    labels = np.asarray(spec.labels, dtype=int)[mode_ids]
+    labels = np.zeros_like(mode_ids) if spec.shared_label else mode_ids.copy()
     return GmmData(x=x, c=label_conditions(proj, labels), mode_ids=mode_ids,
                    labels=labels, proj=proj)
 

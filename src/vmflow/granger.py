@@ -169,17 +169,15 @@ P_BIN_LABELS = ("p<0.001", "0.001<=p<0.01", "0.01<=p<0.05",
 def latent_causality_report(latents, max_lag: int = 1) -> dict:
     """Minimum Granger p per sample across ordered group pairs, binned.
 
-    latents: [n, groups, series_len] (trailing axis is time), or
-    [n, groups, series_len, dim] pooled by mean over dim. Pairs whose
+    latents: [n, groups, series_len] (trailing axis is time). Pairs whose
     test degenerates are skipped and counted; a sample with no testable
     pair is counted under skipped_samples. GrangerError if no sample has
     one: a series needs 3 * max_lag + 5 points, and variance.
     """
     arr = np.asarray(latents, dtype=np.float64)
-    if arr.ndim == 4:
-        arr = arr.mean(axis=3)
     if arr.ndim != 3:
-        raise GrangerError(f"latents must be 3- or 4-dimensional, got {arr.ndim}")
+        raise GrangerError(f"latents must be [n, groups, series_len], "
+                           f"got {arr.ndim} dimensions")
     n, groups, series_len = arr.shape
     if groups < 2:
         raise GrangerError("need at least 2 groups")

@@ -5,7 +5,7 @@ decaying probability, cuts uniform without replacement). The mask then
 encodes causality across groups: clean visible tokens x_p see strictly
 earlier x_p groups, noisy tokens z of group j see x_p groups before j plus
 their own z group, and everyone sees condition and latent tokens.
-Convention: entry 1 = blocked, 0 = attend.
+Convention: True = blocked, False = attend.
 """
 from __future__ import annotations
 
@@ -74,7 +74,7 @@ def split_with_decay(sample_len: int, decay_factor: float,
 
 @dataclass(frozen=True)
 class AttentionMask:
-    matrix: np.ndarray  # uint8 [seq, seq], 1 = blocked
+    blocked: np.ndarray  # bool [seq, seq], True = blocked
     cond_len: int
     latent_len: int
     visible_len: int
@@ -84,10 +84,6 @@ class AttentionMask:
     @property
     def seq_len(self) -> int:
         return self.cond_len + self.latent_len + self.visible_len + self.sample_len
-
-    @property
-    def blocked(self) -> np.ndarray:
-        return self.matrix.astype(bool)
 
 
 def build_mask(sample_len: int, cond_len: int, latent_len: int,
@@ -103,18 +99,18 @@ def build_mask(sample_len: int, cond_len: int, latent_len: int,
     z_off = cond_eff + visible_len
     seq = z_off + sample_len
 
-    m = np.ones((seq, seq), dtype=np.uint8)
-    m[:, :cond_eff] = 0
+    m = np.ones((seq, seq), dtype=bool)
+    m[:, :cond_eff] = False
     n = len(split.sizes)
     # T1: x_p group i sees x_p groups strictly before i (the first group sees none)
     for i in range(n - 1):
-        m[xp_off + cs[i]:xp_off + cs[i + 1], xp_off:xp_off + cs[i]] = 0
+        m[xp_off + cs[i]:xp_off + cs[i + 1], xp_off:xp_off + cs[i]] = False
     for j in range(n):
         r0, r1 = z_off + cs[j], z_off + cs[j + 1]
         # T2: z group j sees x_p groups strictly before j
-        m[r0:r1, xp_off:xp_off + min(cs[j], visible_len)] = 0
+        m[r0:r1, xp_off:xp_off + min(cs[j], visible_len)] = False
         # T3: z group j sees its own z block
-        m[r0:r1, z_off + cs[j]:z_off + cs[j + 1]] = 0
+        m[r0:r1, z_off + cs[j]:z_off + cs[j + 1]] = False
     return AttentionMask(m, cond_len, latent_len, visible_len, sample_len, split)
 
 
@@ -133,7 +129,7 @@ def render_ascii(mask: AttentionMask) -> str:
     header = "".join("|" if i in bounds else " " for i in range(mask.seq_len))
     lines.append("  " + header)
     for r in range(mask.seq_len):
-        row = "".join("#" if mask.matrix[r, c] else "." for c in range(mask.seq_len))
+        row = "".join("#" if mask.blocked[r, c] else "." for c in range(mask.seq_len))
         lines.append(("| " if r in bounds else "  ") + row)
     return "\n".join(lines)
 
@@ -141,7 +137,7 @@ def render_ascii(mask: AttentionMask) -> str:
 def render_pgm(mask: AttentionMask) -> str:
     """Plain-text PGM (P2), blocked = black like the reference figure."""
     n = mask.seq_len
-    rows = "\n".join(" ".join("0" if v else "255" for v in row) for row in mask.matrix)
+    rows = "\n".join(" ".join("0" if v else "255" for v in row) for row in mask.blocked)
     return f"P2\n{n} {n}\n255\n{rows}\n"
 
 
@@ -154,7 +150,7 @@ def mask_summary(mask: AttentionMask) -> dict:
         "seq_len": mask.seq_len,
         "split_sizes": list(mask.split.sizes),
         "split_cumsum": list(mask.split.cumsum),
-        "blocked_fraction": float(mask.matrix.mean()),
+        "blocked_fraction": float(mask.blocked.mean()),
     }
 
 

@@ -151,8 +151,7 @@ def conditional_metrics(gen_feats, ref_feats, sim_fn=cosine_sim, *,
 # ---------------------------------------------------------------------------
 # mixture coverage
 
-def mode_coverage(samples: np.ndarray, mode_means: np.ndarray, radius: float,
-                  min_count: int = 1) -> float:
+def mode_coverage(samples: np.ndarray, mode_means: np.ndarray, radius: float) -> float:
     samples = np.asarray(samples, dtype=np.float64)
     means = np.asarray(mode_means, dtype=np.float64)
     if means.ndim != 2 or means.shape[0] == 0:
@@ -162,5 +161,4 @@ def mode_coverage(samples: np.ndarray, mode_means: np.ndarray, radius: float,
     if samples.ndim != 2 or samples.shape[1] != means.shape[1]:
         raise MetricError(f"samples {samples.shape} vs modes {means.shape}")
     d = np.linalg.norm(samples[:, None, :] - means[None, :, :], axis=2)
-    hits = (d <= radius).sum(axis=0)
-    return float((hits >= min_count).mean())
+    return float((d <= radius).any(axis=0).mean())

@@ -178,13 +178,12 @@ def theta_forward(params: dict[str, Tensor], dims: ModelDims, c, h, x_p, z,
         embedded.append(e)
     x = embedded[0] if len(embedded) == 1 else T.concat(embedded, axis=1)
 
-    blocked = mask.blocked
     reps = None
     for k in range(dims.blocks):
         b = f"theta/blk{k}"
         attn = [params[f"{b}/attn/{m}"] for m in ("wq", "wk", "wv", "wo", "bo")]
         hdn = T.layer_norm(x, params[f"{b}/ln1/g"], params[f"{b}/ln1/b"])
-        x = x + T.attention(hdn, *attn, blocked, dims.heads)
+        x = x + T.attention(hdn, *attn, mask.blocked, dims.heads)
         hdn = T.layer_norm(x, params[f"{b}/ln2/g"], params[f"{b}/ln2/b"])
         hdn = T.linear(T.gelu(T.linear(hdn, params[f"{b}/mlp/w1"], params[f"{b}/mlp/b1"])),
                        params[f"{b}/mlp/w2"], params[f"{b}/mlp/b2"])

@@ -564,14 +564,17 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     return _make(data, (x,), tan, vjp)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+_LN_EPS = _F32(1e-5)
+
+
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     xd = x.data
     inv_n = _F32(1.0 / xd.shape[-1])
     mean = xd.sum(axis=-1, keepdims=True, dtype=_F32) * inv_n
     d = xd - mean
     dd = d * d
     var = dd.sum(axis=-1, keepdims=True, dtype=_F32) * inv_n
-    sq = np.sqrt(var + _F32(eps))
+    sq = np.sqrt(var + _LN_EPS)
     q = np.divide(d, sq, out=None if _differentiated(x) else d)  # only x's derivatives read d
     try:
         scaled = _into(np.multiply, q, gain.data, dd)
@@ -609,9 +612,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     return _make(data, (x, x, gain, bias), tan, vjp)
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
-    if b is None:
-        return matmul(x, w)
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     out = _matmul_data("linear", x, w)
     out_shape = out.shape
     try:
@@ -776,7 +777,6 @@ def backward(loss: Tensor):
             grads[k] = pg if k not in grads else grads[k] + pg
 
 
-def zero_grad(params):
-    vals = params.values() if isinstance(params, dict) else params
-    for p in vals:
+def zero_grad(params: dict[str, Tensor]):
+    for p in params.values():
         p.grad = None

@@ -16,7 +16,7 @@ import numpy as np
 from . import tensor as T
 from .config import RunConfig
 from .encoder import init_phi, phi_forward
-from .mask import GroupSplit, build_mask, split_with_decay
+from .mask import GroupSplit, build_mask, single_group_mask, split_with_decay
 from .model import ModelDims, init_theta, null_condition_tokens, theta_forward
 from .optim import Adam
 from .rng import make_rng, normal_f32
@@ -174,9 +174,9 @@ def flow_loss(params: dict[str, Tensor], dims: ModelDims, cfg: RunConfig,
     bsz, sample_len, _ = batch.x.shape
     cond_len = batch.c.shape[1]
 
-    if draws.inference_layout:
-        split = GroupSplit((sample_len,))
-    mask = build_mask(sample_len, cond_len, dims.latent_tokens, split)
+    mask = (single_group_mask(sample_len, cond_len, dims.latent_tokens)
+            if draws.inference_layout else
+            build_mask(sample_len, cond_len, dims.latent_tokens, split))
     x_p = batch.x[:, :mask.visible_len] if mask.visible_len else None
 
     dmask = draws.drop.astype(_F32).reshape(bsz, 1, 1)  # constant: no graph op

@@ -24,16 +24,15 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     return T.div(e, T.tsum(e, axis=axis, keepdims=True))
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     m = T.tmean(x, axis=-1, keepdims=True)
     d = T.sub(x, m)
     var = T.tmean(T.mul(d, d), axis=-1, keepdims=True)
-    return T.add(T.mul(T.div(d, T.sqrt(T.add(var, Tensor(eps)))), gain), bias)
+    return T.add(T.mul(T.div(d, T.sqrt(T.add(var, Tensor(1e-5)))), gain), bias)
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
-    out = T.matmul(x, w)
-    return out if b is None else T.add(out, b)
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    return T.add(T.matmul(x, w), b)
 
 
 def attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor, bo: Tensor,

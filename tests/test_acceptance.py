@@ -65,7 +65,7 @@ def test_c01_mask_suite():
     # reference layout: 4 condition + 4 latent + 9 visible + 10 noisy
     ref = build_mask(10, 4, 4, GroupSplit((2, 3, 4, 1)))
     ok &= ref.seq_len == 27
-    ok &= bool((ref.matrix[:, :8] == 0).all())
+    ok &= not ref.blocked[:, :8].any()
     elapsed = time.time() - t0
     ok &= elapsed < 10.0
     assert _verdict(1, "mask suite (1000 draws + reference layout, "
@@ -392,6 +392,7 @@ def test_c06_sampler_algebra():
 # ---------------------------------------------------------------------------
 # 7. ring multimodality: variational latent vs plain mean flow
 
+@pytest.mark.slow
 def test_c07_ring_multimodality():
     spec = ring_spec()  # 8 modes, radius 5, scale 0.1, shared label
     data = make_gmm_dataset(spec)
@@ -434,6 +435,7 @@ def test_c07_ring_multimodality():
 # ---------------------------------------------------------------------------
 # 8. conditional sequence pipeline with a brute-force metric oracle
 
+@pytest.mark.slow
 def test_c08_conditional_sequences():
     spec = ToySequenceSpec(vocab=6, length=4, dim=8, n_sequences=2500,
                            dominance=0.9, seed=21, scale=4.0)

@@ -1,11 +1,14 @@
 """End-to-end CLI runs in a temp directory: artifacts, exit codes, determinism."""
+import importlib
 import json
 import os
+import pkgutil
 import shutil
 
 import numpy as np
 import pytest
 
+import vmflow
 from vmflow.checkpoint import load_checkpoint, save_checkpoint
 from vmflow.cli import _exit_code, load_params, main
 from vmflow.config import load_config
@@ -148,6 +151,22 @@ def test_sample_seed_changes_output(trained_run):
     rows = _read_jsonl(other)
     assert all(r["seed"] == 99 for r in rows)
     assert base.read_bytes() != other.read_bytes()
+
+
+def test_unconditional_rows_name_no_condition_or_weight(trained_run, capsys):
+    """An unconditional draw runs unguided on the null condition, so its rows
+    carry no condition_id and no w, and eval pairs them only by order."""
+    out = trained_run / "uncond.jsonl"
+    assert main(["sample", "--run", str(trained_run / "run"), "--n", "4", "--w", "2",
+                 "--unconditional", "--out", str(out)]) == 0
+    rows = _read_jsonl(out)
+    assert len(rows) == 4
+    assert all(r["condition_id"] is None and r["w"] is None for r in rows)
+    argv = ["eval", "--samples", str(out), "--references", str(trained_run / "ring.jsonl")]
+    assert main(argv + ["--out", str(trained_run / "u-cond.json")]) == 3
+    assert _stderr_error(capsys)["error"] == "MetricError"
+    assert not (trained_run / "u-cond.json").exists()
+    assert main(argv + ["--out", str(trained_run / "u-order.json"), "--pair", "order"]) == 0
 
 
 def test_eval_outputs(trained_run):
@@ -431,6 +450,18 @@ def test_exit_4_missing_file(tmp_path, capsys):
 
 def test_exit_3_for_shape_errors():
     assert _exit_code(ShapeError("x", "y")) == 3
+
+
+def test_exit_code_of_every_error_class_vmflow_defines():
+    classes = {c for m in pkgutil.iter_modules(vmflow.__path__)
+               for c in vars(importlib.import_module(f"vmflow.{m.name}")).values()
+               if isinstance(c, type) and issubclass(c, BaseException)
+               and c.__module__ == f"vmflow.{m.name}"}
+    names = {c.__name__ for c in classes}
+    assert {"ShapeError", "SeedError", "StepAbortError", "VariantError"} <= names
+    for cls in classes:
+        assert _exit_code(cls.__new__(cls)) == (2 if cls.__name__ == "VariantError" else 3), cls
+    assert _exit_code(ValueError("x")) == 1
 
 
 def test_exit_3_eval_without_condition_ids(tmp_path, capsys):

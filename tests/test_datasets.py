@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from vmflow.datasets import (DatasetError, GmmSpec, SequenceCodec,
+from vmflow.datasets import (DatasetError, SequenceCodec,
                              ToySequenceSpec, dominant_token,
                              label_conditions, load_dataset_jsonl,
                              make_gmm_dataset, make_sequence_dataset,
@@ -25,8 +25,7 @@ def test_ring_mode_means_within_clt_bound():
 
 
 def test_single_mode_is_standard_normal():
-    spec = GmmSpec(means=((0.0, 0.0),), scales=(1.0,), labels=(0,),
-                   samples_per_mode=10000, seed=4)
+    spec = ring_spec(n_modes=1, radius=0.0, scale=1.0, samples_per_mode=10000, seed=4)
     data = make_gmm_dataset(spec)
     cov = np.cov(data.x[:, 0, :].T)
     assert np.linalg.norm(cov - np.eye(2), ord=2) < 0.1
@@ -54,11 +53,9 @@ def test_gmm_reproducible_and_validated():
     a, b = make_gmm_dataset(spec), make_gmm_dataset(spec)
     assert np.array_equal(a.x, b.x) and np.array_equal(a.c, b.c)
     with pytest.raises(DatasetError):
-        GmmSpec(means=((0.0,), (0.0,)), scales=(1.0, 1.0), labels=(0, 1),
-                samples_per_mode=5, seed=0)  # duplicate means
+        ring_spec(n_modes=2, radius=0.0)  # duplicate means
     with pytest.raises(DatasetError):
-        GmmSpec(means=((0.0,), (1.0,)), scales=(1.0, 0.0), labels=(0, 1),
-                samples_per_mode=5, seed=0)  # degenerate covariance
+        ring_spec(scale=0.0)  # degenerate covariance
     with pytest.raises(DatasetError):
         label_conditions(a.proj, [99])
 

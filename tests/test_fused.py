@@ -56,7 +56,6 @@ def _op_cases():
     return [
         ("linear", lambda L, x, w, b: L.linear(x, w, b), [(B, S, W), (W, 4 * W), (4 * W,)]),
         ("linear_2d", lambda L, x, w, b: L.linear(x, w, b), [(B, W), (W, W), (W,)]),
-        ("linear_no_bias", lambda L, x, w: L.linear(x, w), [(B, S, W), (W, W)]),
         ("layer_norm", lambda L, x, g, b: L.layer_norm(x, g, b), [(B, S, W), (W,), (W,)]),
         # a gain or a bias whose broadcast enlarges the output
         ("layer_norm_gain_enlarges", lambda L, x, g, b: L.layer_norm(x, g, b),
@@ -83,8 +82,8 @@ def _op_cases():
         ("gelu_fan_out", lambda L, x: T.mul(L.gelu(x), x) + L.gelu(x),
          [(B, S, W)]),
         ("attention_like",
-         lambda L, x, wq, wk: L.softmax(T.matmul(L.linear(x, wq), T.transpose(
-             L.linear(x, wk), (0, 2, 1))) * F32(0.5), axis=-1),
+         lambda L, x, wq, wk: L.softmax(T.matmul(T.matmul(x, wq), T.transpose(
+             T.matmul(x, wk), (0, 2, 1))) * F32(0.5), axis=-1),
          [(B, S, W), (W, W), (W, W)]),
     ]
 

@@ -45,12 +45,12 @@ def oracle_allowed(mask: AttentionMask, r: int, c: int) -> bool:
 
 def assert_matches_oracle(mask: AttentionMask):
     n = mask.seq_len
-    want = np.ones((n, n), dtype=np.uint8)
+    want = np.ones((n, n), dtype=bool)
     for r in range(n):
         for c in range(n):
             if oracle_allowed(mask, r, c):
-                want[r, c] = 0
-    assert np.array_equal(mask.matrix, want), \
+                want[r, c] = False
+    assert np.array_equal(mask.blocked, want), \
         f"mismatch for split {mask.split.sizes}, cond {mask.cond_len}, latent {mask.latent_len}"
 
 
@@ -136,8 +136,8 @@ def test_reference_figure_configuration():
     split = GroupSplit((2, 3, 4, 1))
     mask = build_mask(10, 4, 4, split)
     assert mask.seq_len == 27
-    assert mask.matrix.shape == (27, 27)
-    assert (mask.matrix[:, :8] == 0).all()
+    assert mask.blocked.shape == (27, 27)
+    assert not mask.blocked[:, :8].any()
     assert mask.visible_len == 9
     assert_matches_oracle(mask)
 
@@ -145,14 +145,14 @@ def test_reference_figure_configuration():
 def test_two_group_example():
     mask = build_mask(4, 0, 0, GroupSplit((2, 2)))
     # first x_p group (rows 0..1) sees no x_p columns
-    assert (mask.matrix[0:2, 0:2] == 1).all()
+    assert mask.blocked[0:2, 0:2].all()
     # second z group (rows 4..5) is open to x_p columns 0..1
-    assert (mask.matrix[4:6, 0:2] == 0).all()
+    assert not mask.blocked[4:6, 0:2].any()
     # z blocks: group 0 rows 2..3 over cols 2..3, group 1 rows 4..5 over cols 4..5
-    assert (mask.matrix[2:4, 2:4] == 0).all()
-    assert (mask.matrix[4:6, 4:6] == 0).all()
-    assert (mask.matrix[2:4, 4:6] == 1).all()
-    assert (mask.matrix[4:6, 2:4] == 1).all()
+    assert not mask.blocked[2:4, 2:4].any()
+    assert not mask.blocked[4:6, 4:6].any()
+    assert mask.blocked[2:4, 4:6].all()
+    assert mask.blocked[4:6, 2:4].all()
     assert_matches_oracle(mask)
 
 
@@ -161,8 +161,8 @@ def test_single_group_mask_has_no_visible_tokens():
     assert mask.visible_len == 0
     assert mask.seq_len == 3 + 2 + 0 + 5
     # z rows: condition+latent plus the whole z block, nothing else
-    assert (mask.matrix[:, :5] == 0).all()
-    assert (mask.matrix[5:, 5:] == 0).all()
+    assert not mask.blocked[:, :5].any()
+    assert not mask.blocked[5:, 5:].any()
     assert_matches_oracle(mask)
 
 
@@ -175,7 +175,7 @@ def test_mask_random_draws_match_oracle():
         decay = float(rng.choice([0.5, 0.9, 1.0]))
         split = split_with_decay(sample_len, decay, rng)
         mask = build_mask(sample_len, cond_len, latent_len, split)
-        assert set(np.unique(mask.matrix)) <= {0, 1}
+        assert mask.blocked.dtype == bool
         assert_matches_oracle(mask)
 
 
@@ -191,7 +191,7 @@ def test_renderings_cover_every_entry():
     assert len(grid) == mask.seq_len
     for r, line in enumerate(grid):
         for c, ch in enumerate(line):
-            assert ch == ("#" if mask.matrix[r, c] else ".")
+            assert ch == ("#" if mask.blocked[r, c] else ".")
     pgm = render_pgm(mask)
     head, dims, maxval, *rows = pgm.strip().split("\n")
     assert head == "P2" and dims == "8 8" and maxval == "255"

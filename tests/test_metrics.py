@@ -218,10 +218,9 @@ def test_coverage_true_mixture_oracle():
     assert mode_coverage(data.x[:, 0, :], means, radius=3 * 0.1) == 1.0
 
 
-def test_coverage_min_count_and_errors():
+def test_coverage_errors():
     means = np.array([[0.0, 0.0], [5.0, 0.0]])
     samples = np.array([[0.0, 0.0], [0.1, 0.0], [5.0, 0.0]])
-    assert mode_coverage(samples, means, radius=0.5, min_count=2) == 0.5
     with pytest.raises(MetricError):
         mode_coverage(samples, means, radius=0.0)
     with pytest.raises(MetricError):

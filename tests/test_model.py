@@ -58,9 +58,9 @@ def test_inference_layout_no_visible_no_latent():
 
 def test_fully_blocked_xp_columns_make_xp_irrelevant():
     params, mask, c, h, x_p, z, t, r = tiny_setup()
-    m = mask.matrix.copy()
+    m = mask.blocked.copy()
     xp_off = mask.cond_len + mask.latent_len
-    m[:, xp_off:xp_off + mask.visible_len] = 1
+    m[:, xp_off:xp_off + mask.visible_len] = True
     mask_blocked = AttentionMask(m, mask.cond_len, mask.latent_len,
                                  mask.visible_len, mask.sample_len, mask.split)
     u1 = fwd(params, mask_blocked, c, h, x_p, z, t, r)

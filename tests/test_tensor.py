@@ -274,7 +274,7 @@ def test_grad_accumulates_additively():
     first = p.grad.copy()
     T.backward(T.tsum(p * 2.0))
     assert np.allclose(p.grad, 2.0 * first)
-    T.zero_grad([p])
+    T.zero_grad({"p": p})
     assert p.grad is None
 
 
