@@ -63,12 +63,13 @@ def _norms(x: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("ij,ij->i", x, x))
 
 
-def _feature_rows(feats: list, side: str) -> np.ndarray:
-    """Flatten each feature array into one row of an [n, d] float64 matrix."""
+def _feature_rows(feats, side: str) -> np.ndarray:
+    """n >= 1 feature arrays of one shape, flattened into an [n, d] float64 matrix."""
     try:
-        return np.stack([np.asarray(x, dtype=np.float64).ravel() for x in feats])
+        x = np.asarray(feats, dtype=np.float64, order="C")
     except ValueError as e:
-        raise MetricError(f"{side} feature rows differ in size: {e}") from None
+        raise MetricError(f"{side} feature rows differ in shape: {e}") from None
+    return x.reshape(len(x), x[0].size)
 
 
 def paired_cosine(gen: np.ndarray, ref: np.ndarray) -> np.ndarray:
@@ -76,12 +77,11 @@ def paired_cosine(gen: np.ndarray, ref: np.ndarray) -> np.ndarray:
     return _cosines(np.einsum("ij,ij->i", gen, ref), _norms(gen), _norms(ref))
 
 
-def _mean_pair_cosine(x: np.ndarray) -> float:
-    """Mean cosine_sim over the k(k-1)/2 row pairs of x, k >= 2, summed
-    over row blocks of the Gram matrix with the diagonal left out, so
-    each pair is counted twice."""
+def _mean_pair_cosine(x: np.ndarray, norms: np.ndarray) -> float:
+    """Mean cosine_sim over the k(k-1)/2 row pairs of x, k >= 2, given the
+    rows' norms, summed over row blocks of the Gram matrix with the diagonal
+    left out, so each pair is counted twice."""
     k = x.shape[0]
-    norms = _norms(x)
     total = 0.0
     for s in range(0, k, _BLOCK):
         block = _cosines(x[s:s + _BLOCK] @ x.T, norms[s:s + _BLOCK, None], norms)
@@ -103,9 +103,9 @@ def conditional_metrics(gen_feats, ref_feats, sim_fn=cosine_sim, *,
 
     With the default cosine_sim, f and the pairwise mean are computed in
     matrix form: the diversity sum runs over blocks of Gram rows, O(n^2 /
-    block) BLAS work in O(block * n) memory. Each feature array is then
-    flattened; ragged rows or a gen/ref width mismatch raise MetricError.
-    Any other sim_fn is called once per pair.
+    block) BLAS work in O(block * n) memory. Each side's arrays, of one shape,
+    are flattened; a row of another shape or a gen/ref width mismatch raises
+    MetricError. Any other sim_fn is called once per pair.
     """
     if not np.isfinite([sim_thresh, novel_thresh]).all():
         raise MetricError(f"thresholds must be finite, got {sim_thresh}, {novel_thresh}")
@@ -124,7 +124,8 @@ def conditional_metrics(gen_feats, ref_feats, sim_fn=cosine_sim, *,
         if g.shape[1] != r.shape[1]:
             raise MetricError(f"feature widths differ, {g.shape[1]} generated "
                               f"vs {r.shape[1]} reference")
-        f = paired_cosine(g, r)
+        g_norms = _norms(g)
+        f = _cosines(np.einsum("ij,ij->i", g, r), g_norms, _norms(r))
     else:
         gen = [np.asarray(x) for x in gen_feats]
         f = np.array([sim_fn(g, np.asarray(r)) for g, r in zip(gen, ref_feats)])
@@ -134,7 +135,8 @@ def conditional_metrics(gen_feats, ref_feats, sim_fn=cosine_sim, *,
     if len(vidx) < 2:
         diversity = 0.0
     elif matrix:
-        diversity = (1.0 - _mean_pair_cosine(g[vidx])) * 100.0
+        gv, nv = (g, g_norms) if len(vidx) == n else (g[vidx], g_norms[vidx])
+        diversity = (1.0 - _mean_pair_cosine(gv, nv)) * 100.0
     else:
         dists = [1.0 - sim_fn(gen[i], gen[j])
                  for a, i in enumerate(vidx) for j in vidx[a + 1:]]

@@ -15,7 +15,10 @@ gradients as the separate contributions the composite's nodes would make,
 so that results are bitwise those of the composite in any graph. A fused
 op writes in place only over a temporary it allocated itself and that
 nothing reads again; it never writes an input, its output or an array its
-VJP keeps.
+VJP keeps. Softmax reduces its few keys as left-to-right folds of slices,
+one ufunc call per key, where numpy runs one inner loop per row. That is
+exact: a max has no order, and numpy's sum of fewer than 8 terms adds them
+left to right and then adds the total to +0.0, as the fold does.
 """
 from __future__ import annotations
 
@@ -533,24 +536,37 @@ def gelu(x: Tensor) -> Tensor:
     return _make(data, (x,) * 5, tan, vjp)
 
 
+def _fold(ufunc, x: np.ndarray, axis: int) -> np.ndarray:
+    """ufunc over the slices of x along axis, left to right, keeping the axis."""
+    pre = (slice(None),) * (axis % x.ndim)
+    acc = x[pre + (slice(0, 1),)]
+    for i in range(1, x.shape[axis]):
+        acc = ufunc(acc, x[pre + (slice(i, i + 1),)], out=None if i == 1 else acc)
+    return acc
+
+
+def _key_sum(x: np.ndarray, axis: int) -> np.ndarray:
+    """x.sum(axis, keepdims=True), bit for bit (see the module docstring)."""
+    n = x.shape[axis]
+    return x.sum(axis=axis, keepdims=True) if n >= 8 else _fold(np.add, x, axis) + _ZERO
+
+
 def _softmax_parts(x: np.ndarray, axis: int, own: bool):
     """exp(x - max x) and its sum. The shift is a constant, so masked -1e9
     scores underflow to exactly 0. With own, x is scratch and becomes the exp."""
-    e = np.subtract(x, np.max(x, axis=axis, keepdims=True), out=x if own else None)
+    e = np.subtract(x, _fold(np.maximum, x, axis), out=x if own else None)
     np.exp(e, out=e)
-    return e, e.sum(axis=axis, keepdims=True, dtype=_F32)
+    return e, _key_sum(e, axis)
 
 
 def _softmax_tangent(t_e: np.ndarray, e, s, axis: int) -> np.ndarray:
     """The tangent of e / sum(e), from t_e, the scores' tangent times e."""
-    t_s = t_e.sum(axis=axis, keepdims=True, dtype=_F32)
-    return t_e / s - e * t_s / (s * s)
+    return t_e / s - e * _key_sum(t_e, axis) / (s * s)
 
 
-def _softmax_grad(g: np.ndarray, e, s) -> np.ndarray:
+def _softmax_grad(g: np.ndarray, e, s, axis: int) -> np.ndarray:
     """The gradient on the scores of e / sum(e)."""
-    g_s = _unbroadcast(-g * e / (s * s), s.shape)
-    return (g / s + g_s) * e
+    return (g / s + _key_sum(-g * e / (s * s), axis)) * e
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -559,7 +575,7 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     tan = None if x.tangent is None else _softmax_tangent(x.tangent * e, e, s, axis)
 
     def vjp(g):
-        return (_softmax_grad(g, e, s),)
+        return (_softmax_grad(g, e, s, axis),)
 
     return _make(data, (x,), tan, vjp)
 
@@ -700,7 +716,7 @@ def attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor, bo: Ten
         if g_o is not None:
             g_att, g_v = _matmul_grads(split_heads(g_o), att, v, rq or rk, rv)
             if g_att is not None:
-                g_scores = _softmax_grad(g_att, e, s)
+                g_scores = _softmax_grad(g_att, e, s, -1)
                 np.copyto(g_scores, _ZERO, where=mask)
                 g_scores *= scale
                 g_q, g_k = _matmul_grads(g_scores, q, k_t, rq, rk)

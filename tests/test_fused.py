@@ -42,12 +42,28 @@ BLOCKED_ROW = BLOCKED.copy()
 BLOCKED_ROW[2] = True  # a query that may attend to nothing: its row is uniform
 
 
-def _blocked_scores(rng):
-    """[B, heads, S, S] scores carrying the -1e9 fills of the causal mask."""
-    return np.where(BLOCKED, F32(-1e9), normal_f32(rng, (B, H, S, S)))
+def _blocked_scores(rng, keys=S):
+    """[B, heads, keys, keys] scores carrying the -1e9 fills of the causal mask."""
+    blocked = np.triu(np.ones((keys, keys), dtype=bool), k=1)
+    return np.where(blocked, F32(-1e9), normal_f32(rng, (B, H, keys, keys)))
 
 
-ATTENTION_SHAPES = [(B, S, W), (W, W), (W, W), (W, W), (W, W), (W,)]
+def _attention_shapes(seq=S):
+    return [(B, seq, W), (W, W), (W, W), (W, W), (W, W), (W,)]
+
+
+ATTENTION_SHAPES = _attention_shapes()
+# Key counts on both sides of 8, where softmax's sums switch from a fold to
+# numpy's pairwise sum. Cases named *_zero_rows carry a -0.0 tangent row and
+# a +0.0 cotangent row, whose softmax sums are -0.0 before the +0.0 identity.
+KEYS = (1, 5, 7, 8, 10)
+
+
+def _zero_rows(a: np.ndarray, zero) -> np.ndarray:
+    """a with its first row (its first index on the second-to-last axis) set to zero."""
+    if a.ndim >= 2:
+        a[..., 0, :] = zero
+    return a
 
 
 def _op_cases():
@@ -85,15 +101,27 @@ def _op_cases():
          lambda L, x, wq, wk: L.softmax(T.matmul(T.matmul(x, wq), T.transpose(
              T.matmul(x, wk), (0, 2, 1))) * F32(0.5), axis=-1),
          [(B, S, W), (W, W), (W, W)]),
+        *((f"softmax_keys{n}_zero_rows", lambda L, x: L.softmax(x, axis=-1),
+           [lambda rng, n=n: _blocked_scores(rng, n)]) for n in KEYS),
+        *((f"attention_keys{n}_zero_rows", lambda L, *ins, n=n: L.attention(
+            *ins, np.triu(np.ones((n, n), dtype=bool), k=1), H), _attention_shapes(n))
+          for n in KEYS),
     ]
 
 
-def _leaves(rng, specs):
+def _leaves(rng, name, specs):
     out = []
     for spec in specs:
         data = spec(rng) if callable(spec) else normal_f32(rng, spec)
-        out.append((data, normal_f32(rng, data.shape)))
+        tangent = normal_f32(rng, data.shape)
+        out.append((data, _zero_rows(tangent, F32(-0.0)) if name.endswith("_zero_rows")
+                    else tangent))
     return out
+
+
+def _cotangent(rng, name, shape):
+    cot = normal_f32(rng, shape)
+    return _zero_rows(cot, F32(0.0)) if name.endswith("_zero_rows") else cot
 
 
 def _run(layers, f, leaves, cot):
@@ -108,9 +136,9 @@ def _run(layers, f, leaves, cot):
                          ids=lambda c: c if isinstance(c, str) else "")
 def test_fused_op_matches_composite_bitwise(name, f, specs):
     rng = make_rng(4242)
-    leaves = _leaves(rng, specs)
+    leaves = _leaves(rng, name, specs)
     probe = f(composites, *[Tensor(d) for d, _ in leaves])
-    cot = normal_f32(rng, probe.shape)
+    cot = _cotangent(rng, name, probe.shape)
     fused = _run(T, f, leaves, cot)
     oracle = _run(composites, f, leaves, cot)
     assert same(fused[0], oracle[0]), f"{name}: primal"
@@ -124,7 +152,7 @@ def test_fused_op_matches_composite_bitwise(name, f, specs):
 def test_fused_op_tangent_alone_matches_composite(name, f, specs):
     """Tangents with no gradient to record take the same branches."""
     rng = make_rng(4243)
-    leaves = _leaves(rng, specs)
+    leaves = _leaves(rng, name, specs)
 
     def run(layers):
         out = f(layers, *[Tensor(d, tangent=t) for d, t in leaves])
@@ -143,7 +171,7 @@ def test_fused_op_writes_only_its_own_temporaries(name, f, specs, differentiated
     forward, the tangent and the backward, every input and the output keep
     their bytes, and the output shares no memory with any input."""
     rng = make_rng(31)
-    leaves = _leaves(rng, specs)
+    leaves = _leaves(rng, name, specs)
     if differentiated:
         ins = [Tensor(d.copy(), tangent=t.copy(), requires_grad=True) for d, t in leaves]
     else:
@@ -152,7 +180,7 @@ def test_fused_op_writes_only_its_own_temporaries(name, f, specs, differentiated
     outputs = [a for a in (out.data, out.tangent) if a is not None]
     kept = [a.copy() for a in outputs]
     if differentiated:
-        T.backward(T.tsum(out * Tensor(normal_f32(rng, out.shape))))
+        T.backward(T.tsum(out * Tensor(_cotangent(rng, name, out.shape))))
     for (d, t), p in zip(leaves, ins):
         assert same(p.data, d), f"{name}: input data"
         assert p.tangent is None or same(p.tangent, t), f"{name}: input tangent"
@@ -239,16 +267,17 @@ def test_forward_only_call_computes_only_the_primal(name, shapes):
     args = [normal_f32(rng, s) for s in shapes]
     out, plain = _ufunc_log(name, args)
     assert out._parents == () and out._vjp is None and out.tangent is None
+    # softmax folds its S keys: S - 1 maxima, then S - 1 sums and the +0.0
+    softmax = ["maximum"] * (S - 1) + ["subtract", "exp"] + ["add"] * S + ["divide"]
     primal = {"gelu": ["multiply"] * 6 + ["add", "add", "tanh"],
-              "softmax": ["maximum.reduce", "subtract", "exp", "add.reduce", "divide"],
+              "softmax": softmax,
               "layer_norm": ["add.reduce", "multiply", "subtract", "multiply",
                              "add.reduce", "multiply", "add", "sqrt", "divide",
                              "multiply", "add"],
               "linear": ["matmul", "add"],
               # q, k, v, the scores, the weighted sum and wo; the scale; the
               # softmax; the bias (the mask fill is no ufunc)
-              "attention": ["matmul"] * 6 + ["multiply", "maximum.reduce", "subtract",
-                                             "exp", "add.reduce", "divide", "add"],
+              "attention": ["matmul"] * 6 + ["multiply"] + softmax + ["add"],
               "tanh": ["tanh"]}[name]
     assert plain == Counter(primal)
     if name in ("gelu", "tanh"):

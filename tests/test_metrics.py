@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from vmflow.datasets import make_gmm_dataset, ring_spec
-from vmflow.metrics import (_BLOCK, MetricError, MetricReport,
-                            conditional_metrics, cosine_sim, mode_coverage,
+from vmflow.metrics import (_BLOCK, MetricError, MetricReport, _mean_pair_cosine,
+                            _norms, conditional_metrics, cosine_sim, mode_coverage,
                             paired_cosine)
 from vmflow.rng import make_rng
 
@@ -193,6 +193,59 @@ def test_matrix_path_flattens_gen_rows_against_flat_refs():
     gen = list(np.abs(rng.standard_normal((30, 3, 4))))  # [L, D] per sample
     ref = list(np.abs(rng.standard_normal((30, 12))))    # [L * D]
     _assert_paths_agree(gen, ref)
+
+
+# ---------------------------------------------------------------------------
+# the feature matrix: one per side, from any input form of one row shape
+
+def _stack_route(gen, ref, valid) -> dict:
+    """The metrics from one np.stack entry per flattened row, with the valid
+    rows' norms computed from their own copy."""
+    g, r = (np.stack([np.asarray(x, dtype=np.float64).ravel() for x in side])
+            for side in (gen, ref))
+    f = paired_cosine(g, r)
+    gv = g[np.flatnonzero(valid)]
+    return {"similarity": float((f >= 0.5).mean() * 100.0),
+            "novelty": float((f < 0.8).mean() * 100.0),
+            "diversity": (1.0 - _mean_pair_cosine(gv, _norms(gv))) * 100.0,
+            "validity": float(valid.mean() * 100.0)}
+
+
+FORMS = {"rows_1d": lambda a: list(a.reshape(len(a), -1)),
+         "rows_LD": list,
+         "nested_lists": lambda a: a.tolist(),  # as json.loads gives them
+         "array_2d": lambda a: a.reshape(len(a), -1)}
+
+
+@pytest.mark.parametrize("form", FORMS)
+@pytest.mark.parametrize("n", [5, _BLOCK + 7])
+def test_feature_matrix_input_forms_match_the_stack_route_bytewise(form, n):
+    rng = make_rng(31 + n)
+    gen, ref = rng.standard_normal((n, 3, 4)), rng.standard_normal((n, 3, 4))
+    gen[1] = 0.0
+    gen[3, 0, 0], ref[2, 1, 1] = np.nan, np.inf
+    valid = np.isfinite(gen).all(axis=(1, 2))
+    valid[4] = False
+    assert not valid.all() and valid.sum() >= 2
+    with np.errstate(invalid="ignore"):
+        got = conditional_metrics(FORMS[form](gen), FORMS[form](ref), valid=valid)
+        want = _stack_route(gen, ref, valid)
+    assert got.metrics.keys() == want.keys()
+    assert (np.array(list(got.metrics.values())).tobytes()
+            == np.array(list(want.values())).tobytes()), (got.metrics, want)
+
+
+@pytest.mark.parametrize("side", ["generated", "reference"])
+def test_feature_rows_of_another_shape_name_their_side(side):
+    ok = [np.ones(6), np.ones(6)]
+    bad_forms = [[np.ones(6), np.ones(5)],            # ragged
+                 [[1.0, 2.0, 3.0], [1.0, 2.0]],       # ragged nested lists
+                 [np.ones((2, 3)), np.ones((3, 2))],  # same size, another shape
+                 [np.ones(6), np.ones((2, 3))]]
+    for bad in bad_forms:
+        gen, ref = (bad, ok) if side == "generated" else (ok, bad)
+        with pytest.raises(MetricError, match=f"{side} feature rows differ in shape"):
+            conditional_metrics(gen, ref)
 
 
 # ---------------------------------------------------------------------------

@@ -19,15 +19,25 @@ session leaves there, `wallclock_ms` blanked in the train logs.
 
 Run it on two trees and diff the output to check that a change keeps every
 output bit. The program under test is the `src/` beside this directory.
+
+The digests also depend on the Python and numpy build and on the BLAS, so
+the tool ends by writing the fingerprint of the process that made them
+(see `fingerprint`) to stderr, as one JSON line. `--write-golden` also
+writes the lines and that fingerprint to bitprint.golden.json beside it,
+which `tests/test_scripts.py` compares against when the fingerprints match.
+A change that moves output bits on purpose regenerates that file.
 """
 from __future__ import annotations
 
+import argparse
 import contextlib
+import ctypes
 import dataclasses
 import hashlib
 import io
 import json
 import os
+import platform
 import sys
 import tempfile
 from pathlib import Path
@@ -46,6 +56,7 @@ from vmflow.sampling import sample_batch  # noqa: E402
 from vmflow.training import train_model  # noqa: E402
 from workloads import SAMPLE_SEED_OFFSET, WORKLOADS, make_data  # noqa: E402
 
+GOLDEN = Path(__file__).with_name("bitprint.golden.json")
 SEED, EPOCHS, N_COND = 5, 3, 300
 SAMPLE_MODES = ((1, 1.5, True), (5, 1.0, False), (1, 2.0, True),
                 (3, 1.0, True), (2, 2.0, False))  # (nfe, guidance_w, conditional)
@@ -79,6 +90,35 @@ CLI_SESSION = (
     "granger --latents seqs-c.jsonl --out seqs-granger.json --csv seqs-granger.csv",
     "mask --sample-len 10 --cond-len 4 --latent-len 4 --split 2,3,4,1 --out mask/m",
 )
+
+
+# fingerprint field -> (return type, OpenBLAS getter, named as in the loaded build)
+BLAS_GETTERS = {"blas_threads": (ctypes.c_int, "get_num_threads"),
+                "openblas_config": (ctypes.c_char_p, "get_config"),
+                "openblas_corename": (ctypes.c_char_p, "get_corename")}
+
+
+def fingerprint() -> dict:
+    """The Python and numpy versions, and for each OpenBLAS loaded in this
+    process its thread count, config string and core name, read through the
+    library's own getters (null where it exports none; no entry off Linux)."""
+    fp = {"python": platform.python_version(), "numpy": np.__version__,
+          **{field: [] for field in BLAS_GETTERS}}
+    with contextlib.suppress(OSError), open("/proc/self/maps") as maps:
+        paths = sorted({line.split(maxsplit=5)[-1].rstrip("\n") for line in maps
+                        if "openblas" in line.rsplit("/", 1)[-1].lower()})
+        for path in paths:
+            lib = ctypes.CDLL(path)
+            for field, (restype, getter) in BLAS_GETTERS.items():
+                names = (f"openblas_{getter}", f"scipy_openblas_{getter}64_",
+                         f"scipy_openblas_{getter}", f"openblas_{getter}64_")
+                fn = next((getattr(lib, n) for n in names if hasattr(lib, n)), None)
+                value = None
+                if fn is not None:
+                    fn.restype = restype
+                    value = fn()
+                fp[field].append(value.decode() if isinstance(value, bytes) else value)
+    return fp
 
 
 def sha(*chunks: bytes) -> str:
@@ -145,14 +185,25 @@ def cli_fingerprints(tmp: Path):
 
 
 def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
+    ap.add_argument("--write-golden", action="store_true",
+                    help=f"also write the lines and the fingerprint to {GOLDEN.name}")
+    args = ap.parse_args()
+    lines = []
     with tempfile.TemporaryDirectory() as tmp:
         for workload in ("ring", "seq"):
             for variant in VARIANTS:
                 for kind, digest in fingerprints(workload, variant, Path(tmp)):
-                    print(f"{workload}/{variant}/{kind} {digest}", flush=True)
+                    lines.append(f"{workload}/{variant}/{kind} {digest}")
+                    print(lines[-1], flush=True)
     with tempfile.TemporaryDirectory() as tmp:
         for name, digest in cli_fingerprints(Path(tmp)):
-            print(f"cli/{name} {digest}", flush=True)
+            lines.append(f"cli/{name} {digest}")
+            print(lines[-1], flush=True)
+    fp = fingerprint()
+    if args.write_golden:
+        GOLDEN.write_text(json.dumps({"fingerprint": fp, "lines": lines}, indent=1) + "\n")
+    print(json.dumps(fp), file=sys.stderr)
     return 0
 
 
