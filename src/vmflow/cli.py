@@ -76,8 +76,8 @@ def _check_layout(path, got: dict, want: dict):
 
 
 def load_params(path) -> tuple[dict[str, Tensor], dict[str, np.ndarray], int]:
-    """Checkpoint -> (params, optimizer tensors, epoch). The parameters take
-    gradients, so a resumed run trains them; sampling detaches them."""
+    """Checkpoint -> (params, optimizer tensors, epoch). `vmflow sample` takes
+    the parameters; bench/ reads all three. `train --resume` reads its own."""
     raw = load_checkpoint(path)
     params = {k[len("param/"):]: parameter(v) for k, v in raw.items()
               if k.startswith("param/")}
@@ -202,7 +202,7 @@ def _cmd_eval(args) -> int:
                                  sim_thresh=args.sim_thresh,
                                  novel_thresh=args.novel_thresh)
 
-    outputs = {args.out: json_text(dataclasses.asdict(report))}
+    outputs = {args.out: json_text({**dataclasses.asdict(report), "pair": args.pair})}
     if args.curve:
         f = paired_cosine(np.stack(gen), np.stack(ref))
         lines = ["threshold,similarity,novelty,diversity\n"]

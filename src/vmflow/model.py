@@ -24,21 +24,16 @@ _F32 = np.float32
 
 @dataclass(frozen=True)
 class ModelDims:
+    """The model's sizes; dims_for fills them from a checked RunConfig."""
     cond_dim: int
     data_dim: int
-    latent_dim: int = 16
-    width: int = 64
-    heads: int = 4
-    blocks: int = 4
-    time_freqs: int = 8      # sin/cos pairs per scalar, 4*time_freqs features total
-    phi_hidden: int = 64
-    latent_tokens: int = 1   # 0 disables the variational branch entirely
-
-    def __post_init__(self):
-        if self.width % self.heads:
-            raise ShapeError("model", f"width {self.width} not divisible by heads {self.heads}")
-        if self.latent_tokens not in (0, 1):
-            raise ShapeError("model", f"latent_tokens must be 0 or 1, got {self.latent_tokens}")
+    latent_dim: int
+    width: int
+    heads: int
+    blocks: int
+    time_freqs: int      # sin/cos pairs per scalar, 4*time_freqs features total
+    phi_hidden: int
+    latent_tokens: int   # 0 disables the variational branch entirely
 
 
 def normal_param(rng: np.random.Generator, *shape, scale=0.02) -> Tensor:
@@ -115,7 +110,7 @@ def embed_time(t, r, params: dict[str, Tensor], dims: ModelDims) -> Tensor:
     tc = _time_column("embed_time", t, "t")
     rc = _time_column("embed_time", r, "r")
     for name, col in (("t", tc), ("r", rc)):
-        if np.any(col.data < 0.0) or np.any(col.data > 1.0):
+        if not np.all((col.data >= 0.0) & (col.data <= 1.0)):  # NaN fails too
             raise ShapeError("embed_time", f"{name} outside [0,1]: {col.data.ravel()[:4]}")
     freqs = Tensor((2.0 ** np.arange(dims.time_freqs) * np.pi).astype(_F32)[None, :])
     feats = []
@@ -151,8 +146,8 @@ def theta_forward(params: dict[str, Tensor], dims: ModelDims, c, h, x_p, z,
 
     tc = _time_column("theta_forward", t, "t")
     rc = _time_column("theta_forward", r, "r")
-    if np.any(rc.data > tc.data):  # embed_time checks that both lie in [0, 1]
-        raise ShapeError("theta_forward", "need r <= t elementwise")
+    if not np.all(rc.data <= tc.data):  # NaN fails; embed_time checks [0, 1]
+        raise ShapeError("theta_forward", "need r <= t elementwise, with no NaN")
 
     segments = []
     for name, tok in (("c", c), ("h", h), ("xp", x_p)):

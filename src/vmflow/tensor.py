@@ -15,10 +15,13 @@ gradients as the separate contributions the composite's nodes would make,
 so that results are bitwise those of the composite in any graph. A fused
 op writes in place only over a temporary it allocated itself and that
 nothing reads again; it never writes an input, its output or an array its
-VJP keeps. Softmax reduces its few keys as left-to-right folds of slices,
-one ufunc call per key, where numpy runs one inner loop per row. That is
-exact: a max has no order, and numpy's sum of fewer than 8 terms adds them
-left to right and then adds the total to +0.0, as the fold does.
+VJP keeps. A fused layer's bias or gain is one row of its output width
+(`[out]` for linear, `[width]` for layer_norm and attention), so the bias
+add fits the product's temporary; any other shape is a ShapeError. Softmax
+reduces its few keys as left-to-right folds of slices, one ufunc call per
+key, where numpy runs one inner loop per row. That is exact: a max has no
+order, and numpy's sum of fewer than 8 terms adds them left to right and
+then adds the total to +0.0, as the fold does.
 """
 from __future__ import annotations
 
@@ -107,12 +110,6 @@ class Tensor:
     def __rtruediv__(self, other):
         return div(_wrap(other), self)
 
-    def __neg__(self):
-        return mul(self, _wrap(-1.0))
-
-    def __matmul__(self, other):
-        return matmul(self, _wrap(other))
-
     def __getitem__(self, idx):
         return _getitem(self, idx)
 
@@ -180,15 +177,6 @@ def _product_tangent(f, a, ta, b, tb):
         part = f(a, tb)
         tan = part if tan is None else np.add(tan, part, out=tan)
     return tan
-
-
-def _into(f, a, b, out: np.ndarray) -> np.ndarray:
-    """f(a, b) written over out, a temporary of the caller's that nothing
-    reads again, or a fresh array where the broadcast result outgrows it."""
-    try:
-        return f(a, b, out=out)
-    except ValueError:  # out too small, or a and b do not broadcast
-        return f(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -585,6 +573,9 @@ _LN_EPS = _F32(1e-5)
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     xd = x.data
+    if gain.shape != xd.shape[-1:] or bias.shape != xd.shape[-1:]:
+        raise ShapeError("layer_norm", f"gain {gain.shape} and bias {bias.shape} "
+                         f"are not one row of input {x.shape}")
     inv_n = _F32(1.0 / xd.shape[-1])
     mean = xd.sum(axis=-1, keepdims=True, dtype=_F32) * inv_n
     d = xd - mean
@@ -592,13 +583,8 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     var = dd.sum(axis=-1, keepdims=True, dtype=_F32) * inv_n
     sq = np.sqrt(var + _LN_EPS)
     q = np.divide(d, sq, out=None if _differentiated(x) else d)  # only x's derivatives read d
-    try:
-        scaled = _into(np.multiply, q, gain.data, dd)
-        data = _into(np.add, scaled, bias.data, scaled)
-    except ValueError:
-        raise ShapeError("layer_norm", f"gain {gain.shape} and bias {bias.shape} "
-                         f"vs input {x.shape}") from None
-    scaled_shape = scaled.shape
+    data = np.multiply(q, gain.data, out=dd)
+    data += bias.data
     tx = x.tangent
     t_scaled = None
     if tx is not None:
@@ -608,16 +594,15 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
         t_scaled = (t_d / sq - d * t_sq / (sq * sq)) * gain.data
     if gain.tangent is not None:
         part = q * gain.tangent
-        t_scaled = part if t_scaled is None else _into(np.add, t_scaled, part, t_scaled)
+        t_scaled = part if t_scaled is None else np.add(t_scaled, part, out=t_scaled)
     tan = _add_tangent(data.shape, t_scaled, bias.tangent, own=True)
 
     def vjp(g):
-        g_scaled = _unbroadcast(g, scaled_shape)
-        g_gain = _unbroadcast(g_scaled * q, gain.shape) if gain.requires_grad else None
+        g_gain = _unbroadcast(g * q, gain.shape) if gain.requires_grad else None
         g_bias = _unbroadcast(g, bias.shape) if bias.requires_grad else None
         if not x.requires_grad:
             return None, None, g_gain, g_bias
-        g_q = _unbroadcast(g_scaled * gain.data, q.shape)
+        g_q = g * gain.data
         g_sq = _unbroadcast(-g_q * d / (sq * sq), sq.shape)
         g_dd = ((g_sq / (_TWO * sq)) * inv_n) * d
         g_d = (g_q / sq + g_dd) + g_dd
@@ -629,18 +614,15 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    out = _matmul_data("linear", x, w)
-    out_shape = out.shape
-    try:
-        data = _into(np.add, out, b.data, out)
-    except ValueError:
-        raise ShapeError("linear", f"bias {b.shape} vs output {out_shape}") from None
+    if b.shape != w.shape[-1:]:
+        raise ShapeError("linear", f"bias {b.shape} is not one row of weight {w.shape}")
+    data = _matmul_data("linear", x, w)
+    data += b.data
     t_out = _product_tangent(np.matmul, x.data, x.tangent, w.data, w.tangent)
     tan = _add_tangent(data.shape, t_out, b.tangent, own=True)
 
     def vjp(g):
-        gx, gw = _matmul_grads(_unbroadcast(g, out_shape), x.data, w.data,
-                               x.requires_grad, w.requires_grad)
+        gx, gw = _matmul_grads(g, x.data, w.data, x.requires_grad, w.requires_grad)
         return gx, gw, (_unbroadcast(g, b.shape) if b.requires_grad else None)
 
     return _make(data, (x, w, b), tan, vjp)
@@ -666,6 +648,8 @@ def attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor, bo: Ten
     for m in (wq, wk, wv, wo):
         if m.shape != (w, w):
             raise ShapeError("attention", f"projection {m.shape} vs width {w}")
+    if bo.shape != (w,):
+        raise ShapeError("attention", f"bias {bo.shape} is not one row of width {w}")
     split = (*x.shape[:2], heads, w // heads)
     scale = _F32(1.0 / np.sqrt(w // heads))
     mask = np.asarray(blocked, dtype=bool)
@@ -689,12 +673,8 @@ def attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor, bo: Ten
     keep_e = rq or rk or tq is not None or tk is not None
     att = np.divide(e, s, out=None if keep_e else e)
     o = (att @ v).transpose(_Q_AXES).reshape(x.shape)
-    out = o @ wo.data
-    out_shape = out.shape
-    try:
-        data = _into(np.add, out, bo.data, out)
-    except ValueError:
-        raise ShapeError("attention", f"bias {bo.shape} vs output {out_shape}") from None
+    data = o @ wo.data
+    data += bo.data
 
     t_scores = _product_tangent(np.matmul, q, split_heads(tq), k_t, split_heads(tk, _K_AXES))
     t_att = None
@@ -709,8 +689,7 @@ def attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor, bo: Ten
     tan = _add_tangent(data.shape, t_out, bo.tangent, own=True)
 
     def _vjp(g):
-        g_o, g_wo = _matmul_grads(_unbroadcast(g, out_shape), o, wo.data,
-                                  rq or rk or rv, wo.requires_grad)
+        g_o, g_wo = _matmul_grads(g, o, wo.data, rq or rk or rv, wo.requires_grad)
         g_bo = _unbroadcast(g, bo.shape) if bo.requires_grad else None
         g_q = g_k = g_v = None
         if g_o is not None:

@@ -188,6 +188,14 @@ def test_eval_outputs(trained_run):
     assert len(lines) == 20
 
 
+@pytest.mark.parametrize("rule", ["condition", "order"])
+def test_eval_metrics_name_the_pair_rule(trained_run, rule):
+    out = trained_run / f"metrics-{rule}.json"
+    assert main(["eval", "--samples", str(trained_run / "s1.jsonl"), "--references",
+                 str(trained_run / "ring.jsonl"), "--out", str(out), "--pair", rule]) == 0
+    assert json.loads(out.read_text())["pair"] == rule
+
+
 def test_train_resume(trained_run):
     run = trained_run / "run"
     cfg_path = trained_run / "config.json"

@@ -11,7 +11,7 @@ from vmflow.tensor import ShapeError, Tensor
 from fdcheck import entry_rel_err, rel_err
 
 DIMS = ModelDims(cond_dim=5, data_dim=3, latent_dim=4, width=16, heads=2,
-                 blocks=2, phi_hidden=16)
+                 blocks=2, time_freqs=8, phi_hidden=16, latent_tokens=1)
 
 
 def setup(seed=0, b=3, sample_len=6, cond_len=2):

@@ -73,20 +73,11 @@ def _op_cases():
         ("linear", lambda L, x, w, b: L.linear(x, w, b), [(B, S, W), (W, 4 * W), (4 * W,)]),
         ("linear_2d", lambda L, x, w, b: L.linear(x, w, b), [(B, W), (W, W), (W,)]),
         ("layer_norm", lambda L, x, g, b: L.layer_norm(x, g, b), [(B, S, W), (W,), (W,)]),
-        # a gain or a bias whose broadcast enlarges the output
-        ("layer_norm_gain_enlarges", lambda L, x, g, b: L.layer_norm(x, g, b),
-         [(S, W), (B, S, W), (W,)]),
-        ("layer_norm_bias_enlarges", lambda L, x, g, b: L.layer_norm(x, g, b),
-         [(S, W), (W,), (B, 1, W)]),
-        ("linear_bias_enlarges", lambda L, x, w, b: L.linear(x, w, b),
-         [(S, W), (W, W), (B, 1, W)]),
         ("gelu", lambda L, x: L.gelu(x), [(B, S, 4 * W)]),
         ("softmax", lambda L, x: L.softmax(x, axis=-1), [_blocked_scores]),
         ("attention", lambda L, *ins: L.attention(*ins, BLOCKED, H), ATTENTION_SHAPES),
         ("attention_blocked_row", lambda L, *ins: L.attention(*ins, BLOCKED_ROW, H),
          ATTENTION_SHAPES),
-        ("attention_bias_enlarges", lambda L, *ins: L.attention(*ins, BLOCKED, H),
-         ATTENTION_SHAPES[:-1] + [(2, 1, 1, W)]),
         # x also feeds the residual add, after its q, k and v paths
         ("attention_residual", lambda L, x, *ws: T.add(x, L.attention(x, *ws, BLOCKED, H)),
          ATTENTION_SHAPES),
@@ -189,6 +180,22 @@ def test_fused_op_writes_only_its_own_temporaries(name, f, specs, differentiated
         for p in ins:
             for arr in (p.data, p.tangent, p.grad):
                 assert arr is None or not np.shares_memory(a, arr), f"{name}: aliasing"
+
+
+@pytest.mark.parametrize("op,shapes", [
+    ("linear", [(B, S, W), (W, W), (B, 1, W)]),
+    ("layer_norm", [(B, S, W), (B, S, W), (W,)]),
+    ("layer_norm", [(B, S, W), (S, W), (W,)]),  # fits the output, still not one row
+    ("layer_norm", [(B, S, W), (W,), (B, 1, W)]),
+    ("attention", ATTENTION_SHAPES[:-1] + [(2, 1, 1, W)]),
+], ids=["linear-bias", "layer_norm-gain", "layer_norm-gain-rows", "layer_norm-bias",
+        "attention-bias"])
+def test_fused_layer_refuses_a_bias_or_gain_that_is_not_one_row(op, shapes):
+    layer = {"linear": T.linear, "layer_norm": T.layer_norm,
+             "attention": lambda *ins: T.attention(*ins, BLOCKED, H)}[op]
+    with pytest.raises(T.ShapeError) as err:
+        layer(*[Tensor(np.ones(s, dtype=F32)) for s in shapes])
+    assert err.value.op == op
 
 
 @pytest.mark.parametrize("which", ["x", "params", "wq", "wk", "wv", "wo", "bo"])

@@ -12,7 +12,7 @@ from vmflow.tensor import ShapeError, Tensor
 from fdcheck import rel_err
 
 DIMS = ModelDims(cond_dim=5, data_dim=3, latent_dim=4, width=16, heads=2,
-                 blocks=2, time_freqs=4, phi_hidden=16)
+                 blocks=2, time_freqs=4, phi_hidden=16, latent_tokens=1)
 
 
 def tiny_setup(seed=0, sample_len=6, cond_len=2, latent_len=1, sizes=(2, 3, 1)):
@@ -121,6 +121,10 @@ def test_layout_and_input_errors():
         theta_forward(params, DIMS, c, h, x_p, z, mask, 0.3, 0.8)
     with pytest.raises(ShapeError):
         theta_forward(params, DIMS, c, h, x_p, z, mask, 1.4, 0.0)
+    nan = np.array([np.nan, 0.5, 0.5], dtype=np.float32)
+    for t_, r_ in ((nan, r), (t, nan)):  # NaN is not within the time rule
+        with pytest.raises(ShapeError, match="r <= t"):
+            theta_forward(params, DIMS, c, h, x_p, z, mask, t_, r_)
 
 
 def test_embed_time_properties():
@@ -136,6 +140,10 @@ def test_embed_time_properties():
         e(1.2, 0.0)
     with pytest.raises(ShapeError, match="embed_time"):
         e(0.5, -0.1)
+    nan, half = np.array([np.nan, 0.5], np.float32), np.full(2, 0.5, np.float32)
+    for t, r in ((nan, half), (half, nan)):
+        with pytest.raises(ShapeError, match="embed_time"):
+            embed_time(t, r, params, DIMS)
 
 
 def test_time_shape_error_names_embed_time():

@@ -48,6 +48,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
 import numpy as np  # noqa: E402
 
+from vmflow import openblas_functions  # noqa: E402
 from vmflow.checkpoint import save_checkpoint  # noqa: E402
 from vmflow.cli import _checkpoint_tensors, main as vmflow  # noqa: E402
 from vmflow.config import VARIANTS, VARIATIONAL, RunConfig  # noqa: E402
@@ -92,7 +93,7 @@ CLI_SESSION = (
 )
 
 
-# fingerprint field -> (return type, OpenBLAS getter, named as in the loaded build)
+# fingerprint field -> (return type, OpenBLAS function stem)
 BLAS_GETTERS = {"blas_threads": (ctypes.c_int, "get_num_threads"),
                 "openblas_config": (ctypes.c_char_p, "get_config"),
                 "openblas_corename": (ctypes.c_char_p, "get_corename")}
@@ -102,22 +103,15 @@ def fingerprint() -> dict:
     """The Python and numpy versions, and for each OpenBLAS loaded in this
     process its thread count, config string and core name, read through the
     library's own getters (null where it exports none; no entry off Linux)."""
-    fp = {"python": platform.python_version(), "numpy": np.__version__,
-          **{field: [] for field in BLAS_GETTERS}}
-    with contextlib.suppress(OSError), open("/proc/self/maps") as maps:
-        paths = sorted({line.split(maxsplit=5)[-1].rstrip("\n") for line in maps
-                        if "openblas" in line.rsplit("/", 1)[-1].lower()})
-        for path in paths:
-            lib = ctypes.CDLL(path)
-            for field, (restype, getter) in BLAS_GETTERS.items():
-                names = (f"openblas_{getter}", f"scipy_openblas_{getter}64_",
-                         f"scipy_openblas_{getter}", f"openblas_{getter}64_")
-                fn = next((getattr(lib, n) for n in names if hasattr(lib, n)), None)
-                value = None
-                if fn is not None:
-                    fn.restype = restype
-                    value = fn()
-                fp[field].append(value.decode() if isinstance(value, bytes) else value)
+    fp = {"python": platform.python_version(), "numpy": np.__version__}
+    for field, (restype, stem) in BLAS_GETTERS.items():
+        fp[field] = []
+        for fn in openblas_functions(stem):
+            value = None
+            if fn is not None:
+                fn.restype = restype
+                value = fn()
+            fp[field].append(value.decode() if isinstance(value, bytes) else value)
     return fp
 
 
